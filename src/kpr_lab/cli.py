@@ -23,7 +23,6 @@ import dataclasses
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import engine, stats
@@ -38,6 +37,7 @@ STRATEGY_NAMES = {
 
 EXIT_OK = 0
 EXIT_ERROR = 1
+EXIT_USAGE = 2
 EXIT_STRICT_UNCONVERGED = 3
 
 # documented default seeds for the `figures` presets
@@ -45,16 +45,6 @@ FIGURE_SEEDS = {"fig1": 1, "fig2": 2, "fig3": 3, "fig4": 4, "fig5": 5, "fig6": 6
 FIGURE_SWEEP_NS = (100, 200, 400, 800, 1600, 3200, 6400)
 FIGURE_FULL_SWEEP_NS = FIGURE_SWEEP_NS + (12800, 25600, 51200)
 FIGURE_WORLDLINE_NS = (50, 100, 200, 400, 800, 1600, 3200, 6400)
-
-
-@dataclass
-class OutputBundle:
-    """Paths of the files an invocation produced."""
-
-    summary: Path
-    timeseries: Path | None = None
-    sweep: Path | None = None
-    worldlines: Path | None = None
 
 
 def fnum(x: float) -> str:
@@ -145,12 +135,9 @@ def cmd_run(args) -> int:
     config = _config_from_args(args, strategy)
     result = engine.run(config)
     out = Path(args.out)
-    bundle = OutputBundle(
-        summary=out / "summary.txt", timeseries=out / "timeseries.csv"
-    )
-    write_timeseries(bundle.timeseries, result)
+    write_timeseries(out / "timeseries.csv", result)
     write_summary(
-        bundle.summary,
+        out / "summary.txt",
         [("command", "run")]
         + _config_echo(config)
         + [
@@ -175,7 +162,7 @@ def cmd_sweep(args) -> int:
         values = tuple(float(v) for v in args.values.split(","))
         base_n = args.n
         if base_n is None:
-            raise SystemExit("sweep over alpha requires --n")
+            raise ValueError("sweep over alpha requires --n")
     config = SimulationConfig(
         n=base_n, strategy=strategy, alpha=args.alpha, max_days=args.max_days
     )
@@ -188,8 +175,7 @@ def cmd_sweep(args) -> int:
     )
     table = run_sweep(plan, max_workers=args.threads)
     out = Path(args.out)
-    bundle = OutputBundle(summary=out / "summary.txt", sweep=out / "sweep.csv")
-    write_sweep(bundle.sweep, table)
+    write_sweep(out / "sweep.csv", table)
     entries: list[tuple[str, object]] = [
         ("command", "sweep"),
         ("strategy", strategy.value),
@@ -203,7 +189,7 @@ def cmd_sweep(args) -> int:
         intercept, slope = stats.estimate_fs_extrapolation(table)
         entries.append(("fs_extrapolated_intercept", intercept))
         entries.append(("fs_vs_inverse_n_slope", slope))
-    write_summary(bundle.summary, entries)
+    write_summary(out / "summary.txt", entries)
     if args.strict and any(r.converged_fraction < 1.0 for r in table.rows):
         return EXIT_STRICT_UNCONVERGED
     return EXIT_OK
@@ -218,15 +204,10 @@ def cmd_worldlines(args) -> int:
     lines = stats.world_lines(result)
     lo, hi, spread = stats.dispersion_summary(lines)
     out = Path(args.out)
-    bundle = OutputBundle(
-        summary=out / "summary.txt",
-        timeseries=out / "timeseries.csv",
-        worldlines=out / "worldlines.csv",
-    )
-    write_timeseries(bundle.timeseries, result)
-    write_worldlines(bundle.worldlines, lines)
+    write_timeseries(out / "timeseries.csv", result)
+    write_worldlines(out / "worldlines.csv", lines)
     write_summary(
-        bundle.summary,
+        out / "summary.txt",
         [("command", "worldlines")]
         + _config_echo(config)
         + [
@@ -342,7 +323,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         key, _, value = line.partition("=")
         attr = key.strip().replace("-", "_")
         if not hasattr(args, attr):
-            raise SystemExit(f"unknown config key: {key.strip()}")
+            raise ValueError(f"unknown config key: {key.strip()}")
         if getattr(args, attr) is None:
             current_type = {
                 "n": int, "seed": int, "max_days": int, "runs": int,
@@ -411,19 +392,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  I/O errors return EXIT_ERROR; invalid values
+    raise SystemExit(EXIT_USAGE), as argparse does for malformed flags."""
     args = build_parser().parse_args(argv)
-    _apply_config_file(args)
-    _resolve_defaults(args)
-    if getattr(args, "out", None) is None:
-        args.out = "."
     try:
+        _apply_config_file(args)
+        _resolve_defaults(args)
+        if getattr(args, "out", None) is None:
+            args.out = "."
         return args.func(args)
     except OSError as exc:
         print(f"kpr: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ValueError as exc:
         print(f"kpr: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise SystemExit(EXIT_USAGE) from None
 
 
 if __name__ == "__main__":

@@ -18,17 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AgentState, DayRecord, RunResult, SimulationConfig, Strategy
+from .model import DayRecord, RunResult, SimulationConfig, Strategy
+from .stats import exact_random_utilization
 from .strategy import sample_choices_vectorized
 
 
 @dataclass
 class WorldState:
-    """Mutable per-run state, stored as arrays of length n.
-
-    ``served_agent[k]`` is the agent served at restaurant k today, or -1 if
-    nobody went there.
-    """
+    """Mutable per-run state, stored as arrays of length n."""
 
     day: int
     last_restaurant: np.ndarray
@@ -36,19 +33,6 @@ class WorldState:
     was_served: np.ndarray
     success_count: np.ndarray
     crowds: np.ndarray
-    served_agent: np.ndarray
-
-    def agent(self, i: int) -> AgentState:
-        return AgentState(
-            last_restaurant=int(self.last_restaurant[i]),
-            last_crowd=int(self.last_crowd[i]),
-            was_served=bool(self.was_served[i]),
-            success_count=int(self.success_count[i]),
-        )
-
-    @property
-    def agents(self) -> list[AgentState]:
-        return [self.agent(i) for i in range(len(self.last_restaurant))]
 
 
 def _service_lottery(
@@ -56,17 +40,13 @@ def _service_lottery(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tally crowds and pick one served agent per non-empty restaurant.
 
-    A lone arrival is served outright; only contested restaurants (crowd of
-    two or more) consume randomness, one uniform each in ascending
-    restaurant order.
+    Returns (crowds, each agent's crowd, served flags).  A lone arrival is
+    served outright; only contested restaurants (crowd of two or more)
+    consume randomness, one uniform each in ascending restaurant order.
     """
     crowds = np.bincount(choices, minlength=n)
-    served = np.zeros(n, dtype=bool)
-    served_agent = np.full(n, -1, dtype=np.int64)
-
-    solo = crowds[choices] == 1
-    served[solo] = True
-    served_agent[choices[solo]] = np.flatnonzero(solo)
+    own_crowd = crowds[choices]
+    served = own_crowd == 1
 
     contested = np.flatnonzero(crowds >= 2)
     if contested.size:
@@ -75,13 +55,25 @@ def _service_lottery(
         offsets = np.minimum((u * sizes).astype(np.int64), sizes - 1)
         # crowd members grouped by restaurant, ascending; the stable sort
         # keeps agent order within each group
-        members = np.flatnonzero(~solo)
+        members = np.flatnonzero(~served)
         grouped = members[np.argsort(choices[members], kind="stable")]
         starts = np.cumsum(sizes) - sizes
-        winners = grouped[starts + offsets]
-        served[winners] = True
-        served_agent[contested] = winners
-    return crowds, served, served_agent
+        served[grouped[starts + offsets]] = True
+    return crowds, own_crowd, served
+
+
+def _play_day(
+    state: WorldState, choices: np.ndarray, n: int, rng: np.random.Generator
+) -> DayRecord:
+    """Run the lottery on today's choices and move the state to today."""
+    crowds, own_crowd, served = _service_lottery(choices, n, rng)
+    state.last_restaurant = choices
+    state.last_crowd = own_crowd
+    state.was_served = served
+    state.success_count += served
+    state.crowds = crowds
+    state.day += 1
+    return _day_record(state.day, crowds, n)
 
 
 def _day_record(day: int, crowds: np.ndarray, n: int) -> DayRecord:
@@ -104,43 +96,26 @@ def init_day_one(
 ) -> tuple[WorldState, DayRecord]:
     """Play day 1: uniform random choices by every agent, then the lottery."""
     n = config.n
-    choices = rng.integers(0, n, size=n)
-    crowds, served, served_agent = _service_lottery(choices, n, rng)
-    state = WorldState(
-        day=1,
-        last_restaurant=choices,
-        last_crowd=crowds[choices],
-        was_served=served,
-        success_count=served.astype(np.int64),
-        crowds=crowds,
-        served_agent=served_agent,
-    )
-    return state, _day_record(1, crowds, n)
+    # day 0: nobody has chosen, been crowded or been served yet
+    empty = np.zeros(n, dtype=np.int64)
+    state = WorldState(0, empty, empty, empty.astype(bool), empty.copy(), empty)
+    return state, _play_day(state, rng.integers(0, n, size=n), n, rng)
 
 
 def step_day(
     state: WorldState, config: SimulationConfig, rng: np.random.Generator
 ) -> DayRecord:
     """Advance one day: choices from yesterday's state, then the lottery."""
-    n = config.n
     choices = sample_choices_vectorized(
         config.strategy,
         config.alpha,
         state.last_restaurant,
         state.last_crowd,
         state.was_served,
-        n,
+        config.n,
         rng,
     )
-    crowds, served, served_agent = _service_lottery(choices, n, rng)
-    state.last_restaurant = choices
-    state.last_crowd = crowds[choices]
-    state.was_served = served
-    state.success_count += served
-    state.crowds = crowds
-    state.served_agent = served_agent
-    state.day += 1
-    return _day_record(state.day, crowds, n)
+    return _play_day(state, choices, config.n, rng)
 
 
 # Settlement threshold: a day counts as saturated once the smoothed series
@@ -197,7 +172,7 @@ def detect_convergence(
     f_s = float(tail.mean())
     sigma = float(tail.std())
 
-    baseline = 1.0 - (1.0 - 1.0 / config.n) ** config.n
+    baseline = exact_random_utilization(config.n)
     amplitude = abs(f_s - baseline)
     if amplitude <= AMPLITUDE_SIGNIFICANCE * sigma / np.sqrt(window_len):
         return 0, f_s, True
@@ -221,35 +196,27 @@ def _centered_running_mean(values: np.ndarray, k: int) -> np.ndarray:
     return (cumulative[hi] - cumulative[lo]) / (hi - lo)
 
 
-def run(config: SimulationConfig, rng: np.random.Generator | None = None) -> RunResult:
-    """Execute one full run and assemble its result.
+def run(config: SimulationConfig) -> RunResult:
+    """Execute one full run, seeded from config.seed, and assemble its result.
 
     Greedy runs stop at the first fully utilized day (f can only grow, and a
     day with everyone alone repeats forever); the other strategies always run
     the full horizon, since their saturation statistics come from the tail.
+    Per-day service flags are kept only when the config records history.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    n = config.n
+    rng = np.random.default_rng(config.seed)
     max_days = config.effective_max_days
     greedy = config.strategy is Strategy.GREEDY_CROWD_AVOIDING
-    # Per-day service flags back final_rates at the (post hoc) day tau; for
-    # greedy runs tau is known online, so a rolling snapshot suffices and the
-    # multi-N-day horizon never has to be materialized.
-    keep_flags = config.record_history or not greedy
 
     state, record = init_day_one(config, rng)
     f_values = [record.utilization]
-    flags = [state.was_served.copy()] if keep_flags else None
-    prev_counts: np.ndarray | None = None
+    flags = [state.was_served] if config.record_history else None
 
     while state.day < max_days and not (greedy and f_values[-1] == 1.0):
-        if greedy:
-            prev_counts = state.success_count.copy()
         record = step_day(state, config, rng)
         f_values.append(record.utilization)
-        if keep_flags:
-            flags.append(state.was_served.copy())
+        if flags is not None:
+            flags.append(state.was_served)
 
     f_series = np.array(f_values)
     window_len = int(round(config.tail_window_fraction * len(f_series)))
@@ -259,24 +226,35 @@ def run(config: SimulationConfig, rng: np.random.Generator | None = None) -> Run
         # horizon too short for a tail estimate; report non-convergence
         # rather than failing
         tau, f_s, converged = len(f_series), float(f_series.mean()), False
-    history = np.stack(flags) if flags is not None else None
-
-    rate_day = min(max(tau, 1), len(f_series))
-    if history is not None:
-        counts_at_day = history[:rate_day].sum(axis=0)
-    elif converged and tau >= 1 and prev_counts is not None:
-        counts_at_day = prev_counts
-    else:
-        # converged on day 1 (tau = 0) or ran the full horizon unconverged
-        counts_at_day = state.success_count
-    final_rates = 100.0 * counts_at_day / rate_day
 
     return RunResult(
         config=config,
         f_series=f_series,
         tau=tau,
         f_s=f_s,
-        final_rates=final_rates,
+        final_rates=_final_rates(config, state, tau),
         converged=converged,
-        success_history=history if config.record_history else None,
+        success_history=np.stack(flags) if flags is not None else None,
     )
+
+
+def _final_rates(config: SimulationConfig, state: WorldState, tau: int) -> np.ndarray:
+    """Each agent's cumulative success percentage at day max(tau, 1).
+
+    The counts at that day are the live ones on the last day, the live ones
+    minus today's flags on the day before (a greedy run stops the day after
+    tau), and otherwise come from replaying the seed up to that day, which
+    reproduces the run exactly; tau is a few days for crowd-avoiding runs.
+    """
+    rate_day = min(max(tau, 1), state.day)
+    if rate_day == state.day:
+        counts = state.success_count
+    elif rate_day == state.day - 1:
+        counts = state.success_count - state.was_served
+    else:
+        rng = np.random.default_rng(config.seed)
+        replay, _ = init_day_one(config, rng)
+        while replay.day < rate_day:
+            step_day(replay, config, rng)
+        counts = replay.success_count
+    return 100.0 * counts / rate_day

@@ -103,9 +103,10 @@ class RunResult:
 
     ``tau`` counts the days strictly before the first converged day, so a
     run that is converged from day 1 has ``tau = 0``.  ``final_rates`` holds
-    each agent's cumulative success percentage at day max(tau, 1).
+    each agent's cumulative success percentage at day min(max(tau, 1), days).
     ``success_history`` is a (days, n) boolean matrix of per-day service
-    flags, only kept when the config asked for history recording.
+    flags, only kept when the config asked for history recording; no other
+    per-day array outlives the run.
     """
 
     config: SimulationConfig

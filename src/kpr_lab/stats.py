@@ -1,9 +1,8 @@
-"""Estimators and analytic baselines: occupancy formulas, world lines,
-dispersion, finite-size extrapolation, and small-alpha scaling diagnostics."""
+"""Estimators and analytic baselines: the occupancy formula, world lines,
+dispersion and finite-size extrapolation."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +19,6 @@ def exact_random_utilization(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return 1.0 - (1.0 - 1.0 / n) ** n
-
-
-def poisson_limit_pmf(k: int) -> float:
-    """Large-n limit of the crowd-size distribution: e^-1 / k!."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return math.exp(-1.0) / math.factorial(k)
 
 
 @dataclass(frozen=True)
@@ -116,33 +108,3 @@ def estimate_fs_extrapolation(table: SweepTable) -> tuple[float, float]:
         raise ValueError("all sweep values are equal; cannot extrapolate")
     slope, intercept = np.polyfit(x, y, 1)
     return float(intercept), float(slope)
-
-
-@dataclass(frozen=True)
-class AlphaScalingRow:
-    """Per-row diagnostics for the small-alpha limit laws."""
-
-    alpha: float
-    fs_mean: float
-    fs_vs_one_minus_alpha: float
-    tau_mean: float
-    tau_alpha_product: float
-
-
-def fit_alpha_scaling(table: SweepTable) -> list[AlphaScalingRow]:
-    """Diagnostics for an alpha sweep: how close f_s is to 1 - alpha and how
-    constant tau * alpha stays.  Reports, does not judge: the limit laws are
-    asymptotic in alpha -> 0.
-    """
-    rows = []
-    for row in table.rows:
-        rows.append(
-            AlphaScalingRow(
-                alpha=row.value,
-                fs_mean=row.fs_mean,
-                fs_vs_one_minus_alpha=abs(row.fs_mean - (1.0 - row.value)),
-                tau_mean=row.tau_mean,
-                tau_alpha_product=row.tau_mean * row.value,
-            )
-        )
-    return rows

@@ -208,6 +208,31 @@ class TestExitCodes:
             main(["run", "--n", "10"])  # missing --strategy
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "--strategy", "ca", "--n", "0"],
+            ["run", "--strategy", "ca", "--n", "10", "--alpha", "-1"],
+            ["run", "--strategy", "ca", "--n", "10", "--seed", "-1"],
+            ["sweep", "--strategy", "ca", "--variable", "n", "--values", "10,x"],
+            ["sweep", "--strategy", "ca", "--variable", "n", "--values", "20,10"],
+            ["sweep", "--strategy", "ca", "--variable", "alpha", "--values", "0.5,1"],
+            ["run", "--strategy", "ca", "--n", "10", "--config", "{bogus_cfg}"],
+        ],
+        ids=["n-zero", "negative-alpha", "negative-seed", "non-numeric-value",
+             "decreasing-values", "alpha-sweep-without-n", "unknown-config-key"],
+    )
+    def test_invalid_value_is_a_usage_error(self, args, tmp_path, capsys):
+        cfg = tmp_path / "bogus.cfg"
+        cfg.write_text("bogus=1\n")
+        args = [a.format(bogus_cfg=cfg) for a in args]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--threads", "1", "--out", str(tmp_path / "d")])
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("kpr: ")
+        assert not (tmp_path / "d").exists()
+
     def test_unwritable_output(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kpr_lab.engine import (
@@ -25,11 +27,9 @@ def assert_day_invariants(record: DayRecord, state: WorldState, n: int) -> None:
     assert record.utilization == record.served_count / n
     assert state.crowds.sum() == n
     assert int(state.was_served.sum()) == record.served_count
-    occupied = np.flatnonzero(state.crowds)
-    assert np.array_equal(np.flatnonzero(state.served_agent >= 0), occupied)
-    winners = state.served_agent[occupied]
-    assert np.array_equal(state.last_restaurant[winners], occupied)
-    assert state.was_served[winners].all()
+    # exactly one served agent at every occupied restaurant, none elsewhere
+    served_at = np.bincount(state.last_restaurant[state.was_served], minlength=n)
+    assert np.array_equal(served_at, state.crowds > 0)
     assert np.array_equal(state.last_crowd, state.crowds[state.last_restaurant])
     assert (state.success_count <= state.day).all()
 
@@ -106,7 +106,6 @@ def test_crowd_avoiding_fixed_point_when_all_alone():
         was_served=np.ones(n, dtype=bool),
         success_count=np.ones(n, dtype=np.int64),
         crowds=np.ones(n, dtype=np.int64),
-        served_agent=assignment.copy(),
     )
     cfg = SimulationConfig(n=n, strategy=CA)
     record = step_day(state, cfg, np.random.default_rng(0))
@@ -203,15 +202,27 @@ class TestRun:
         assert result.success_history.shape == (result.days, 20)
         assert result.success_history.dtype == bool
 
-    def test_final_rates_match_history_recount(self):
-        # the greedy snapshot path and the recorded-history path must agree
-        lean = run(SimulationConfig(n=40, strategy=GCA, seed=21))
-        full = run(SimulationConfig(n=40, strategy=GCA, seed=21, record_history=True))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        strategy=st.sampled_from(list(Strategy)),
+        n=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32),
+        max_days=st.none() | st.integers(min_value=1, max_value=80),
+    )
+    @example(strategy=CA, n=30, seed=0, max_days=2)  # rate day = last day
+    @example(strategy=CA, n=30, seed=1, max_days=4)  # the day before the last
+    @example(strategy=GCA, n=40, seed=1, max_days=None)  # greedy stop
+    @example(strategy=CA, n=30, seed=1, max_days=8)  # replayed
+    def test_final_rates_match_history_recount(self, strategy, n, seed, max_days):
+        # final_rates, read live or replayed, equal the recorded-flag recount
+        cfg = SimulationConfig(n=n, strategy=strategy, seed=seed, max_days=max_days)
+        lean = run(cfg)
+        full = run(dataclasses.replace(cfg, record_history=True))
         assert lean.tau == full.tau
         assert np.array_equal(lean.final_rates, full.final_rates)
-        day = max(full.tau, 1)
+        day = min(max(full.tau, 1), full.days)
         recount = 100.0 * full.success_history[:day].sum(axis=0) / day
-        assert np.allclose(full.final_rates, recount)
+        assert np.array_equal(full.final_rates, recount)
 
     def test_crowd_avoiding_final_rates_at_tau(self):
         result = run(

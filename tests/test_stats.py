@@ -15,8 +15,6 @@ from kpr_lab.stats import (
     dispersion_summary,
     estimate_fs_extrapolation,
     exact_random_utilization,
-    fit_alpha_scaling,
-    poisson_limit_pmf,
     world_lines,
 )
 
@@ -51,21 +49,6 @@ class TestExactRandomUtilization:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             exact_random_utilization(0)
-
-
-class TestPoissonLimit:
-    def test_first_two_terms_equal(self):
-        assert poisson_limit_pmf(0) == pytest.approx(math.exp(-1), abs=1e-15)
-        assert poisson_limit_pmf(1) == pytest.approx(math.exp(-1), abs=1e-15)
-
-    def test_normalizes(self):
-        assert sum(poisson_limit_pmf(k) for k in range(21)) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            poisson_limit_pmf(-1)
 
 
 def make_result_with_history(flags: np.ndarray, tau: int) -> object:
@@ -180,27 +163,6 @@ class TestExtrapolation:
     def test_rejects_degenerate_values(self):
         with pytest.raises(ValueError):
             estimate_fs_extrapolation(table_from([100, 100, 100], [0.8, 0.8, 0.8]))
-
-
-def test_alpha_scaling_diagnostics():
-    rows = tuple(
-        SweepRow(
-            value=alpha,
-            fs_mean=1.0 - 0.3 * alpha,
-            fs_std=0.0,
-            tau_mean=2.0 / alpha,
-            tau_std=0.0,
-            runs=30,
-            converged_fraction=1.0,
-            dispersion_min_rate_mean=90.0,
-        )
-        for alpha in (0.05, 0.1, 0.2)
-    )
-    diag = fit_alpha_scaling(SweepTable(variable="alpha", rows=rows))
-    assert [d.alpha for d in diag] == [0.05, 0.1, 0.2]
-    for d in diag:
-        assert d.fs_vs_one_minus_alpha == pytest.approx(0.7 * d.alpha, abs=1e-12)
-        assert d.tau_alpha_product == pytest.approx(2.0, abs=1e-12)
 
 
 def test_sweep_table_requires_sorted_rows():
