@@ -2,7 +2,6 @@
 
 from .model import (
     AgentState,
-    DayRecord,
     EnsembleSummary,
     RunResult,
     RunSummary,
@@ -12,7 +11,6 @@ from .model import (
 
 __all__ = [
     "AgentState",
-    "DayRecord",
     "EnsembleSummary",
     "RunResult",
     "RunSummary",

@@ -91,11 +91,12 @@ def write_sweep(path: Path, table) -> None:
     _write_lines(path, lines)
 
 
-def write_worldlines(path: Path, lines_list) -> None:
+def write_worldlines(path: Path, pct) -> None:
+    """Agent-major rows of a (days, n) world-line matrix."""
     out = ["agent_id,t,cumulative_success_pct"]
-    for line in lines_list:
-        for day, pct in zip(line.days, line.pct):
-            out.append(f"{line.agent_id},{day},{fnum(pct)}")
+    for agent in range(pct.shape[1]):
+        for day, value in enumerate(pct[:, agent].tolist(), start=1):
+            out.append(f"{agent},{day},{fnum(value)}")
     _write_lines(path, out)
 
 
@@ -201,11 +202,11 @@ def cmd_worldlines(args) -> int:
         _config_from_args(args, strategy), record_history=True
     )
     result = engine.run(config)
-    lines = stats.world_lines(result)
-    lo, hi, spread = stats.dispersion_summary(lines)
+    pct = stats.world_lines(result)
+    lo, hi, spread = stats.dispersion_summary(pct)
     out = Path(args.out)
     write_timeseries(out / "timeseries.csv", result)
-    write_worldlines(out / "worldlines.csv", lines)
+    write_worldlines(out / "worldlines.csv", pct)
     write_summary(
         out / "summary.txt",
         [("command", "worldlines")]
@@ -282,9 +283,9 @@ def cmd_figures(args) -> int:
         record_history=True,
     )
     result = engine.run(wl_config)
-    lines = stats.world_lines(result)
-    lo, hi, spread = stats.dispersion_summary(lines)
-    write_worldlines(out / "fig5" / "worldlines.csv", lines)
+    pct = stats.world_lines(result)
+    lo, hi, spread = stats.dispersion_summary(pct)
+    write_worldlines(out / "fig5" / "worldlines.csv", pct)
     write_summary(
         out / "fig5" / "summary.txt",
         [

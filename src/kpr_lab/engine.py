@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DayRecord, RunResult, SimulationConfig, Strategy
+from .model import RunResult, SimulationConfig, Strategy
 from .stats import exact_random_utilization
 from .strategy import sample_choices_vectorized
 
@@ -64,8 +64,9 @@ def _service_lottery(
 
 def _play_day(
     state: WorldState, choices: np.ndarray, n: int, rng: np.random.Generator
-) -> DayRecord:
-    """Run the lottery on today's choices and move the state to today."""
+) -> float:
+    """Run the lottery on today's choices, move the state to today and
+    return today's utilization (occupied restaurants / n)."""
     crowds, own_crowd, served = _service_lottery(choices, n, rng)
     state.last_restaurant = choices
     state.last_crowd = own_crowd
@@ -73,28 +74,16 @@ def _play_day(
     state.success_count += served
     state.crowds = crowds
     state.day += 1
-    return _day_record(state.day, crowds, n)
-
-
-def _day_record(day: int, crowds: np.ndarray, n: int) -> DayRecord:
-    counts = np.bincount(crowds)
-    histogram = {0: int(counts[0])}
-    for size in range(1, len(counts)):
-        if counts[size]:
-            histogram[size] = int(counts[size])
-    served_count = int(n - counts[0])
-    return DayRecord(
-        day=day,
-        served_count=served_count,
-        crowd_histogram=histogram,
-        utilization=served_count / n,
-    )
+    return np.count_nonzero(crowds) / n
 
 
 def init_day_one(
     config: SimulationConfig, rng: np.random.Generator
-) -> tuple[WorldState, DayRecord]:
-    """Play day 1: uniform random choices by every agent, then the lottery."""
+) -> tuple[WorldState, float]:
+    """Play day 1: uniform random choices by every agent, then the lottery.
+
+    Returns the state after day 1 and day 1's utilization.
+    """
     n = config.n
     # day 0: nobody has chosen, been crowded or been served yet
     empty = np.zeros(n, dtype=np.int64)
@@ -104,8 +93,11 @@ def init_day_one(
 
 def step_day(
     state: WorldState, config: SimulationConfig, rng: np.random.Generator
-) -> DayRecord:
-    """Advance one day: choices from yesterday's state, then the lottery."""
+) -> float:
+    """Advance one day: choices from yesterday's state, then the lottery.
+
+    Returns today's utilization.
+    """
     choices = sample_choices_vectorized(
         config.strategy,
         config.alpha,
@@ -151,6 +143,8 @@ def detect_convergence(
     tau counts the days before the converged day, so a series stationary
     from the start reports tau = 0.  Returns (tau, f_s, converged); a series
     that never settles reports tau = len(f_series) and converged = False.
+    So does a series too short for a tail window of two days, with f_s the
+    mean of the whole series.
     """
     f_series = np.asarray(f_series, dtype=np.float64)
     days = len(f_series)
@@ -165,9 +159,7 @@ def detect_convergence(
 
     window_len = int(round(config.tail_window_fraction * days))
     if window_len < 2:
-        raise ValueError(
-            f"tail window of {window_len} samples is too small to estimate f_s"
-        )
+        return days, float(f_series.mean()), False
     tail = f_series[-window_len:]
     f_s = float(tail.mean())
     sigma = float(tail.std())
@@ -208,24 +200,17 @@ def run(config: SimulationConfig) -> RunResult:
     max_days = config.effective_max_days
     greedy = config.strategy is Strategy.GREEDY_CROWD_AVOIDING
 
-    state, record = init_day_one(config, rng)
-    f_values = [record.utilization]
+    state, f = init_day_one(config, rng)
+    f_values = [f]
     flags = [state.was_served] if config.record_history else None
 
     while state.day < max_days and not (greedy and f_values[-1] == 1.0):
-        record = step_day(state, config, rng)
-        f_values.append(record.utilization)
+        f_values.append(step_day(state, config, rng))
         if flags is not None:
             flags.append(state.was_served)
 
     f_series = np.array(f_values)
-    window_len = int(round(config.tail_window_fraction * len(f_series)))
-    if greedy or window_len >= 2:
-        tau, f_s, converged = detect_convergence(f_series, config.strategy, config)
-    else:
-        # horizon too short for a tail estimate; report non-convergence
-        # rather than failing
-        tau, f_s, converged = len(f_series), float(f_series.mean()), False
+    tau, f_s, converged = detect_convergence(f_series, config.strategy, config)
 
     return RunResult(
         config=config,

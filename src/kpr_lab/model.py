@@ -2,7 +2,8 @@
 
 N agents pick among N single-serving restaurants each day; every non-empty
 restaurant serves exactly one randomly chosen arrival.  These types carry the
-configuration of one experiment and the per-day / per-run observables.
+configuration of one experiment and the per-run and per-ensemble results;
+the day step itself returns only the day's utilization (see engine).
 """
 
 from __future__ import annotations
@@ -80,21 +81,6 @@ class AgentState:
     last_restaurant: int
     last_crowd: int
     was_served: bool
-    success_count: int = 0
-
-
-@dataclass(frozen=True)
-class DayRecord:
-    """Outcome of a single day (day numbers are 1-based).
-
-    ``crowd_histogram`` maps crowd size -> number of restaurants with that
-    many arrivals, including size 0 (empty restaurants).
-    """
-
-    day: int
-    served_count: int
-    crowd_histogram: dict[int, int]
-    utilization: float
 
 
 @dataclass

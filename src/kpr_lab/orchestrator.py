@@ -90,7 +90,8 @@ def run_ensemble(
         for i in range(runs)
     ]
     if max_workers > 1 and runs > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        # a fork-started pool launches all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(max_workers, runs)) as pool:
             per_run = list(pool.map(_run_one, configs))
     else:
         per_run = [_run_one(c) for c in configs]

@@ -1,5 +1,6 @@
-"""Estimators and analytic baselines: the occupancy formula, world lines,
-dispersion and finite-size extrapolation."""
+"""Estimators and analytic baselines: the occupancy formula, the world-line
+matrix of cumulative success percentages (days x agents), its dispersion
+and finite-size extrapolation."""
 
 from __future__ import annotations
 
@@ -21,27 +22,11 @@ def exact_random_utilization(n: int) -> float:
     return 1.0 - (1.0 - 1.0 / n) ** n
 
 
-@dataclass(frozen=True)
-class WorldLine:
-    """One agent's cumulative success percentage, day by day."""
+def world_lines(result: RunResult) -> np.ndarray:
+    """Cumulative success percentages of every agent, day 1 to max(tau, 1).
 
-    agent_id: int
-    days: np.ndarray
-    pct: np.ndarray
-
-    @property
-    def series(self) -> list[tuple[int, float]]:
-        return list(zip(self.days.tolist(), self.pct.tolist()))
-
-    @property
-    def final_pct(self) -> float:
-        return float(self.pct[-1])
-
-
-def world_lines(result: RunResult) -> list[WorldLine]:
-    """Cumulative success trajectories for every agent, day 1 to max(tau, 1).
-
-    Requires the run to have recorded per-day service flags
+    Returns a (max(tau, 1), n) matrix: row t-1 is day t, column i is agent
+    i.  Requires the run to have recorded per-day service flags
     (config.record_history).
     """
     if result.success_history is None:
@@ -49,21 +34,13 @@ def world_lines(result: RunResult) -> list[WorldLine]:
     upto = min(max(result.tau, 1), len(result.success_history))
     flags = result.success_history[:upto]
     days = np.arange(1, upto + 1)
-    pct = 100.0 * np.cumsum(flags, axis=0) / days[:, None]
-    return [
-        WorldLine(agent_id=i, days=days, pct=pct[:, i])
-        for i in range(flags.shape[1])
-    ]
+    return 100.0 * np.cumsum(flags, axis=0) / days[:, None]
 
 
-def dispersion_summary(lines: list[WorldLine]) -> tuple[float, float, float]:
-    """(min, max, spread) of the final cumulative success percentages."""
-    if not lines:
-        raise ValueError("no world lines given")
-    length = len(lines[0].pct)
-    if any(len(line.pct) != length for line in lines):
-        raise ValueError("world lines end at different days")
-    finals = np.array([line.final_pct for line in lines])
+def dispersion_summary(pct: np.ndarray) -> tuple[float, float, float]:
+    """(min, max, spread) of the agents' final cumulative success
+    percentages, the last row of a world-line matrix."""
+    finals = pct[-1]
     lo, hi = float(finals.min()), float(finals.max())
     return lo, hi, hi - lo
 

@@ -11,19 +11,9 @@ the other n-1 restaurants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import AgentState, Strategy
-
-
-@dataclass(frozen=True)
-class ChoiceRule:
-    """Next-day choice distribution of a single crowd-avoiding agent."""
-
-    stay_probability: float
-    other_probability: float
 
 
 def stay_probability(
@@ -45,15 +35,6 @@ def stay_probability(
     if strategy is Strategy.GREEDY_CROWD_AVOIDING:
         return 1.0 if was_served else 1.0 / last_crowd
     raise ValueError("random strategy does not define a stay probability")
-
-
-def choice_rule(
-    strategy: Strategy, alpha: float, last_crowd: int, was_served: bool, n: int
-) -> ChoiceRule:
-    """Full per-restaurant distribution: stay at k, else uniform over the rest."""
-    p = stay_probability(strategy, alpha, last_crowd, was_served)
-    other = 0.0 if n == 1 else (1.0 - p) / (n - 1)
-    return ChoiceRule(stay_probability=p, other_probability=other)
 
 
 def sample_choice(

@@ -9,7 +9,7 @@ import hashlib
 
 import pytest
 
-from kpr_lab import engine
+from kpr_lab import cli, engine
 from kpr_lab.cli import main
 from kpr_lab.model import SimulationConfig, Strategy
 
@@ -44,6 +44,8 @@ CLI_DIGESTS = {
     "worldlines-ca": "41bf91f02e79aeae8809b1f47c4b4861b1647d08afd53566adb8025cf329f163",
 }
 
+FIGURES_DIGEST = "5a13caa843045988d32b53729fef5c852c8df304640affb13030e879ba710e5e"
+
 # (strategy, n, seed, max_days): runs whose final_rates are read at the last
 # day, at the day before it, and at an earlier day tau
 RUN_CASES = {
@@ -70,8 +72,8 @@ RUN_DIGESTS = {
 def cli_digest(args, out):
     assert main(args + ["--out", str(out)]) == 0
     h = hashlib.sha256()
-    for path in sorted(out.iterdir()):
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        h.update(path.relative_to(out).as_posix().encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
 
 
@@ -88,6 +90,14 @@ def run_digest(strategy, n, seed, max_days):
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
 def test_cli_output_is_pinned(case, tmp_path):
     assert cli_digest(CLI_CASES[case], tmp_path / case) == CLI_DIGESTS[case]
+
+
+def test_figures_output_is_pinned(tmp_path, monkeypatch):
+    # the smoke-test sizes of tests/test_cli.py::test_figures_smoke
+    monkeypatch.setattr(cli, "FIGURE_SWEEP_NS", (20, 40, 60))
+    monkeypatch.setattr(cli, "FIGURE_WORLDLINE_NS", (20, 30))
+    args = ["figures", "--runs", "2", "--threads", "1"]
+    assert cli_digest(args, tmp_path / "figs") == FIGURES_DIGEST
 
 
 @pytest.mark.parametrize("case", sorted(RUN_CASES))

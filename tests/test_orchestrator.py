@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from kpr_lab import orchestrator
 from kpr_lab.engine import run
 from kpr_lab.model import SimulationConfig, Strategy
 from kpr_lab.orchestrator import (
@@ -62,6 +63,29 @@ class TestRunEnsemble:
         serial = run_ensemble(cfg, runs=8, base_seed=11, max_workers=1)
         parallel = run_ensemble(cfg, runs=8, base_seed=11, max_workers=4)
         assert serial == parallel
+
+    def test_pool_is_no_larger_than_the_ensemble(self, monkeypatch):
+        # a fake executor: no real pool is started, only its size is seen
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", RecordingPool)
+        cfg = SimulationConfig(n=10, strategy=CA, max_days=20)
+        run_ensemble(cfg, runs=2, base_seed=0, max_workers=16)
+        run_ensemble(cfg, runs=5, base_seed=0, max_workers=3)
+        assert sizes == [2, 3]
 
     def test_nonconvergence_is_reported_not_raised(self):
         cfg = SimulationConfig(n=50, strategy=GCA, max_days=3)

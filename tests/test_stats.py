@@ -11,7 +11,6 @@ from kpr_lab.model import SimulationConfig, Strategy
 from kpr_lab.stats import (
     SweepRow,
     SweepTable,
-    WorldLine,
     dispersion_summary,
     estimate_fs_extrapolation,
     exact_random_utilization,
@@ -72,22 +71,21 @@ class TestWorldLines:
     def test_worked_example(self):
         # three losses then two wins: 0, 0, 0, 25, 40 percent
         flags = np.array([[0], [0], [0], [1], [1]], dtype=bool)
-        lines = world_lines(make_result_with_history(flags, tau=5))
-        assert len(lines) == 1
-        assert np.allclose(lines[0].pct, [0.0, 0.0, 0.0, 25.0, 40.0])
+        pct = world_lines(make_result_with_history(flags, tau=5))
+        assert pct.shape == (5, 1)
+        assert np.allclose(pct[:, 0], [0.0, 0.0, 0.0, 25.0, 40.0])
 
     def test_all_wins_and_all_losses(self):
         flags = np.ones((6, 2), dtype=bool)
         flags[:, 1] = False
-        lines = world_lines(make_result_with_history(flags, tau=6))
-        assert np.allclose(lines[0].pct, 100.0)
-        assert np.allclose(lines[1].pct, 0.0)
+        pct = world_lines(make_result_with_history(flags, tau=6))
+        assert np.allclose(pct[:, 0], 100.0)
+        assert np.allclose(pct[:, 1], 0.0)
 
     def test_stops_at_tau(self):
-        flags = np.ones((10, 1), dtype=bool)
-        lines = world_lines(make_result_with_history(flags, tau=4))
-        assert len(lines[0].pct) == 4
-        assert lines[0].days[-1] == 4
+        flags = np.ones((10, 3), dtype=bool)
+        pct = world_lines(make_result_with_history(flags, tau=4))
+        assert pct.shape == (4, 3)
 
     def test_requires_history(self):
         result = run(SimulationConfig(n=5, strategy=Strategy.RANDOM, max_days=20))
@@ -97,32 +95,20 @@ class TestWorldLines:
     @given(st.lists(st.booleans(), min_size=1, max_size=60))
     def test_counts_round_trip(self, outcomes):
         flags = np.array(outcomes, dtype=bool).reshape(-1, 1)
-        lines = world_lines(make_result_with_history(flags, tau=len(outcomes)))
-        (line,) = lines
-        for day, pct in zip(line.days, line.pct):
-            assert round(pct * day / 100) == flags[:day, 0].sum()
-            assert 0.0 <= pct <= 100.0
+        pct = world_lines(make_result_with_history(flags, tau=len(outcomes)))
+        for day, value in enumerate(pct[:, 0], start=1):
+            assert round(value * day / 100) == flags[:day, 0].sum()
+            assert 0.0 <= value <= 100.0
 
 
 class TestDispersionSummary:
     def test_single_always_winning_agent(self):
-        line = WorldLine(agent_id=0, days=np.arange(1, 4), pct=np.full(3, 100.0))
-        assert dispersion_summary([line]) == (100.0, 100.0, 0.0)
+        pct = np.full((3, 1), 100.0)
+        assert dispersion_summary(pct) == (100.0, 100.0, 0.0)
 
     def test_min_max_spread(self):
-        a = WorldLine(agent_id=0, days=np.arange(1, 3), pct=np.array([50.0, 80.0]))
-        b = WorldLine(agent_id=1, days=np.arange(1, 3), pct=np.array([50.0, 95.0]))
-        assert dispersion_summary([a, b]) == (80.0, 95.0, 15.0)
-
-    def test_rejects_misaligned_lines(self):
-        a = WorldLine(agent_id=0, days=np.arange(1, 3), pct=np.zeros(2))
-        b = WorldLine(agent_id=1, days=np.arange(1, 4), pct=np.zeros(3))
-        with pytest.raises(ValueError):
-            dispersion_summary([a, b])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            dispersion_summary([])
+        pct = np.array([[50.0, 50.0], [80.0, 95.0]])
+        assert dispersion_summary(pct) == (80.0, 95.0, 15.0)
 
 
 def table_from(values, fs):

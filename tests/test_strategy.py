@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from kpr_lab.model import AgentState, Strategy
 from kpr_lab.strategy import (
-    choice_rule,
     sample_choice,
     sample_choices_vectorized,
     stay_probability,
@@ -74,13 +73,6 @@ class TestStayProbability:
             stay_probability(CA, alpha, crowd, False)
             >= stay_probability(CA, alpha + bump, crowd, False) - 1e-15
         )
-
-
-def test_choice_rule_normalizes():
-    for n in (2, 5, 100):
-        rule = choice_rule(CA, 1.0, 3, False, n)
-        total = rule.stay_probability + (n - 1) * rule.other_probability
-        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSampleChoice:
