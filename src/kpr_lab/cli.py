@@ -13,7 +13,8 @@ byte for byte.  The default seed comes from --seed, then a config file, then
 the KPR_SEED environment variable, then 0.
 
 A config file (--config) holds flat ``key=value`` lines mirroring the long
-flag names (e.g. ``strategy=ca``, ``max-days=2000``); explicit flags win.
+flag names (e.g. ``strategy=ca``, ``max-days=2000``, ``strict=true``);
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -328,12 +329,19 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         if getattr(args, attr) is None:
             current_type = {
                 "n": int, "seed": int, "max_days": int, "runs": int,
-                "threads": int, "alpha": float,
+                "threads": int, "alpha": float, "strict": _boolean,
+                "full": _boolean,
             }.get(attr, str)
-            if attr == "strict":
-                setattr(args, attr, value.strip().lower() == "true")
-            else:
+            try:
                 setattr(args, attr, current_type(value.strip()))
+            except ValueError as exc:
+                raise ValueError(f"config key {key.strip()}: {exc}") from None
+
+
+def _boolean(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
 
 
 def _resolve_defaults(args: argparse.Namespace) -> None:
@@ -345,8 +353,12 @@ def _resolve_defaults(args: argparse.Namespace) -> None:
         args.runs = 30
     if getattr(args, "threads", None) is None:
         args.threads = os.cpu_count() or 1
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     if getattr(args, "strict", None) is None:
         args.strict = False
+    if getattr(args, "full", None) is None:
+        args.full = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out", default=None)
     p_fig.add_argument("--runs", type=int, default=None)
     p_fig.add_argument("--threads", type=int, default=None)
-    p_fig.add_argument("--full", action="store_true")
+    p_fig.add_argument("--full", action="store_const", const=True, default=None)
     p_fig.add_argument("--strict", action="store_const", const=True, default=None)
     p_fig.add_argument("--config", default=None)
     p_fig.set_defaults(func=cmd_figures)

@@ -9,7 +9,8 @@ crowd-avoiding strategies with their first crowd observation.
 Random-number consumption per day is fixed: the choice phase draws in agent
 order (see strategy.sample_choices_vectorized), then the service lottery
 draws one uniform per contested restaurant (crowd of two or more) in
-ascending restaurant order; lone arrivals are served without a draw.
+ascending restaurant order, which picks a member by rank in agent order; lone
+arrivals are served without a draw.
 """
 
 from __future__ import annotations
@@ -53,13 +54,28 @@ def _service_lottery(
         sizes = crowds[contested]
         u = rng.random(contested.size)
         offsets = np.minimum((u * sizes).astype(np.int64), sizes - 1)
-        # crowd members grouped by restaurant, ascending; the stable sort
-        # keeps agent order within each group
+        # crowd members grouped by restaurant, ascending, in agent order
+        # within each group
         members = np.flatnonzero(~served)
-        grouped = members[np.argsort(choices[members], kind="stable")]
+        grouped = members[_stable_order(choices[members], n)]
         starts = np.cumsum(sizes) - sizes
         served[grouped[starts + offsets]] = True
     return crowds, own_crowd, served
+
+
+def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
+    """Return np.argsort(keys, kind="stable") for integer keys in [0, n).
+
+    numpy radix-sorts 16-bit keys under kind="stable", so the order is built
+    from least-significant-digit passes over 16-bit digits, one per 16 bits
+    of n - 1.  Each pass is stable, so together they give the one stable
+    permutation of the full keys, whichever algorithm numpy picks.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, (n - 1).bit_length(), 16):
+        digits = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digits, kind="stable")]
+    return order
 
 
 def _play_day(

@@ -17,7 +17,6 @@ on purpose; see README ("Known acceptance failures") for the analysis:
   so f_s sits well above 1 - alpha at alpha in {0.1, 0.2}.
 """
 
-import dataclasses
 import itertools
 import math
 import time

@@ -129,6 +129,38 @@ class TestConfigFile:
               "--config", str(cfg), "--out", str(out)])
         assert "seed=9" in (out / "summary.txt").read_text()
 
+    @pytest.mark.parametrize(
+        "lines,flags,expected",
+        [
+            ("full=true\nstrict=true\n", [], (True, True)),
+            ("full=false\nstrict=FALSE\n", [], (False, False)),
+            ("full=false\nstrict=false\n", ["--full", "--strict"], (True, True)),
+            ("", [], (False, False)),
+        ],
+        ids=["true", "false", "flags-win", "unset"],
+    )
+    def test_boolean_keys_fill_flags(self, lines, flags, expected, tmp_path,
+                                     monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            cli, "cmd_figures", lambda args: seen.append((args.full, args.strict)) or 0
+        )
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(lines)
+        assert main(["figures", "--config", str(cfg), *flags]) == 0
+        assert seen == [expected]
+
+    @pytest.mark.parametrize("line", ["strict=yes", "strict=1", "full=", "full=on"])
+    def test_boolean_key_rejects_other_words(self, line, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("kpr: ")
+        assert not (tmp_path / "d").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("bogus=1\n")
@@ -218,16 +250,22 @@ class TestExitCodes:
             ["sweep", "--strategy", "ca", "--variable", "n", "--values", "20,10"],
             ["sweep", "--strategy", "ca", "--variable", "alpha", "--values", "0.5,1"],
             ["run", "--strategy", "ca", "--n", "10", "--config", "{bogus_cfg}"],
+            ["run", "--strategy", "ca", "--n", "10", "--threads", "0"],
+            ["sweep", "--strategy", "ca", "--variable", "n", "--values", "10,20",
+             "--threads", "-4"],
         ],
         ids=["n-zero", "negative-alpha", "negative-seed", "non-numeric-value",
-             "decreasing-values", "alpha-sweep-without-n", "unknown-config-key"],
+             "decreasing-values", "alpha-sweep-without-n", "unknown-config-key",
+             "zero-threads", "negative-threads"],
     )
     def test_invalid_value_is_a_usage_error(self, args, tmp_path, capsys):
         cfg = tmp_path / "bogus.cfg"
         cfg.write_text("bogus=1\n")
         args = [a.format(bogus_cfg=cfg) for a in args]
+        if "--threads" not in args:
+            args += ["--threads", "1"]
         with pytest.raises(SystemExit) as exc:
-            main(args + ["--threads", "1", "--out", str(tmp_path / "d")])
+            main(args + ["--out", str(tmp_path / "d")])
         assert exc.value.code == cli.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("kpr: ")

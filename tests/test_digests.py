@@ -47,7 +47,8 @@ CLI_DIGESTS = {
 FIGURES_DIGEST = "5a13caa843045988d32b53729fef5c852c8df304640affb13030e879ba710e5e"
 
 # (strategy, n, seed, max_days): runs whose final_rates are read at the last
-# day, at the day before it, and at an earlier day tau
+# day, at the day before it, and at an earlier day tau, plus two runs whose
+# restaurant indices do not fit in 16 bits
 RUN_CASES = {
     "random-tau0": (Strategy.RANDOM, 60, 11, 40),
     "ca-tau0": (Strategy.CROWD_AVOIDING, 20, 6, 30),
@@ -56,6 +57,8 @@ RUN_CASES = {
     "ca-unconverged": (Strategy.CROWD_AVOIDING, 30, 0, 2),
     "gca-converged": (Strategy.GREEDY_CROWD_AVOIDING, 80, 5, None),
     "gca-capped": (Strategy.GREEDY_CROWD_AVOIDING, 80, 5, 20),
+    "ca-n70000": (Strategy.CROWD_AVOIDING, 70000, 3, 3),
+    "gca-n70000": (Strategy.GREEDY_CROWD_AVOIDING, 70000, 3, 3),
 }
 
 RUN_DIGESTS = {
@@ -66,6 +69,8 @@ RUN_DIGESTS = {
     "ca-unconverged": "e356df0eb58f564fb3f5a55a076aa17dad50ee0765196e49aebc0725da4efa55",
     "gca-converged": "35160561d350b5d032011d2d2fbacb24642e6a3cba3ec8f26f2bd77e789f2c40",
     "gca-capped": "2c12fd3b91ecdfe3cbaf1db167da9eed1782b7f2188013b241a5b240259a9e37",
+    "ca-n70000": "57bc438994c1142d8b478f7b52c62392f762cd1f1f422ecb96d959f3ce04a384",
+    "gca-n70000": "003f34031b86c8b980f1f1000eaaff2f14afa1877032d1b48ceacec95b5a1303",
 }
 
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kpr_lab.engine import (
     WorldState,
+    _stable_order,
     detect_convergence,
     init_day_one,
     run,
@@ -106,6 +108,25 @@ def test_crowd_avoiding_fixed_point_when_all_alone():
     f = step_day(state, cfg, np.random.default_rng(0))
     assert np.array_equal(state.last_restaurant, assignment)
     assert f == 1.0
+
+
+@st.composite
+def keys_below(draw):
+    n = draw(st.integers(1, 2**20))
+    size = draw(st.integers(0, 3000))
+    keys = draw(hnp.arrays(np.int64, size, elements=st.integers(0, n - 1)))
+    return keys, n
+
+
+@given(keys_below())
+@example((np.array([], dtype=np.int64), 1))
+@example((np.array([0]), 1))
+@example((np.array([65535, 0, 65535, 1, 0]), 65536))
+@example((np.array([65536, 0, 65536, 65535, 0, 1]), 65537))
+@settings(deadline=None)
+def test_stable_order_is_the_stable_argsort(keys_and_n):
+    keys, n = keys_and_n
+    assert np.array_equal(_stable_order(keys, n), np.argsort(keys, kind="stable"))
 
 
 def test_replaying_a_seed_is_bit_identical():
