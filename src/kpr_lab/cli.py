@@ -55,6 +55,8 @@ def fnum(x: float) -> str:
     files byte-stable under round-trips.
     """
     x = float(x)
+    if not math.isfinite(x):
+        return str(x)  # nan, inf or -inf, which float() reads back
     for _ in range(2):  # second pass re-anchors when rounding crosses a decade
         if x == 0.0:
             return "0.000000"
@@ -324,7 +326,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             continue
         key, _, value = line.partition("=")
         attr = key.strip().replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in args.flag_keys:
             raise ValueError(f"unknown config key: {key.strip()}")
         if getattr(args, attr) is None:
             current_type = {
@@ -361,6 +363,11 @@ def _resolve_defaults(args: argparse.Namespace) -> None:
         args.full = False
 
 
+def _flag_keys(p: argparse.ArgumentParser) -> frozenset[str]:
+    """The attributes of a subcommand's flags: the keys a config file may set."""
+    return frozenset(a.dest for a in p._actions if a.option_strings) - {"help", "config"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kpr", description="Kolkata Paise Restaurant game simulations"
@@ -380,18 +387,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="single simulation run")
     common(p_run, needs_n=True)
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, flag_keys=_flag_keys(p_run))
 
     p_sweep = sub.add_parser("sweep", help="ensemble sweep over n or alpha")
     common(p_sweep, needs_n=False)
     p_sweep.add_argument("--variable", choices=["n", "alpha"], required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated list")
     p_sweep.add_argument("--runs", type=int, default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, flag_keys=_flag_keys(p_sweep))
 
     p_wl = sub.add_parser("worldlines", help="per-agent success trajectories")
     common(p_wl, needs_n=True)
-    p_wl.set_defaults(func=cmd_worldlines)
+    p_wl.set_defaults(func=cmd_worldlines, flag_keys=_flag_keys(p_wl))
 
     p_fig = sub.add_parser("figures", help="canonical experiment presets")
     p_fig.add_argument("--out", default=None)
@@ -400,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--full", action="store_const", const=True, default=None)
     p_fig.add_argument("--strict", action="store_const", const=True, default=None)
     p_fig.add_argument("--config", default=None)
-    p_fig.set_defaults(func=cmd_figures)
+    p_fig.set_defaults(func=cmd_figures, flag_keys=_flag_keys(p_fig))
     return parser
 
 

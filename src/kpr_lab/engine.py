@@ -11,11 +11,17 @@ order (see strategy.sample_choices_vectorized), then the service lottery
 draws one uniform per contested restaurant (crowd of two or more) in
 ascending restaurant order, which picks a member by rank in agent order; lone
 arrivals are served without a draw.
+
+A served greedy agent always stays, so a greedy day is played over the
+unserved agents alone: it jumps over the served agents' stay/leave uniforms
+on the unchanged stream and touches only the restaurants the unserved agents
+leave or reach.  Its output is byte-identical to tallying all n agents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import insort
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,14 +32,26 @@ from .strategy import sample_choices_vectorized
 
 @dataclass
 class WorldState:
-    """Mutable per-run state, stored as arrays of length n."""
+    """Mutable per-run state, stored as arrays of length n.
+
+    An agent's success count is ``day - losses``.  Greedy days also keep
+    the unserved agents (ascending) and each restaurant's resident, its one
+    served agent (-1 where empty); the first greedy day builds both from
+    the arrays.
+    """
 
     day: int
     last_restaurant: np.ndarray
     last_crowd: np.ndarray
     was_served: np.ndarray
-    success_count: np.ndarray
+    losses: np.ndarray
     crowds: np.ndarray
+    unserved: np.ndarray | None = field(default=None, repr=False, compare=False)
+    resident: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def success_count(self) -> np.ndarray:
+        return self.day - self.losses
 
 
 def _service_lottery(
@@ -87,10 +105,69 @@ def _play_day(
     state.last_restaurant = choices
     state.last_crowd = own_crowd
     state.was_served = served
-    state.success_count += served
+    state.losses += ~served
     state.crowds = crowds
     state.day += 1
     return np.count_nonzero(crowds) / n
+
+
+def _greedy_day(
+    state: WorldState, config: SimulationConfig, rng: np.random.Generator
+) -> float:
+    """Play a greedy day over yesterday's unserved agents only.
+
+    A served greedy agent always stays, so a restaurant's crowd changes
+    only where an unserved agent leaves or arrives.  The day touches those
+    restaurants, their residents and the unserved agents, and draws what
+    the dense day draws: the choice block, then one uniform per contested
+    restaurant in ascending restaurant order, picking a member by rank in
+    agent order.
+    """
+    n = config.n
+    if state.resident is None:
+        served = np.flatnonzero(state.was_served)
+        state.resident = np.full(n, -1)
+        state.resident[state.last_restaurant[served]] = served
+        state.unserved = np.flatnonzero(~state.was_served)
+    agents, resident = state.unserved, state.resident
+    left = state.last_restaurant[agents]
+    choices = sample_choices_vectorized(
+        config.strategy, config.alpha, left, state.last_crowd[agents], agents, n, rng
+    )
+    state.last_restaurant[agents] = choices
+
+    # today's crowd at each touched restaurant, in agent order
+    crowd = {x: [] for x in left.tolist()}
+    for agent, x in zip(agents.tolist(), choices.tolist()):
+        crowd.setdefault(x, []).append(agent)
+    for x, members in crowd.items():
+        holder = resident[x]
+        if holder >= 0:
+            insort(members, int(holder))
+    touched = sorted(crowd)
+    contested = [x for x in touched if len(crowd[x]) > 1]
+    draws = iter(rng.random(len(contested)).tolist() if contested else ())
+
+    crowds, last_crowd, was_served, losses = (
+        state.crowds, state.last_crowd, state.was_served, state.losses
+    )
+    losers = []
+    for x in touched:
+        members = crowd[x]
+        size = len(members)
+        winner = members[min(int(next(draws) * size), size - 1) if size > 1 else 0]
+        resident[x] = winner
+        crowds[x] = size
+        for agent in members:
+            last_crowd[agent] = size
+            was_served[agent] = agent == winner
+            if agent != winner:
+                losses[agent] += 1
+                losers.append(agent)
+    losers.sort()
+    state.unserved = np.array(losers, dtype=np.int64)
+    state.day += 1
+    return (n - len(losers)) / n
 
 
 def init_day_one(
@@ -114,12 +191,14 @@ def step_day(
 
     Returns today's utilization.
     """
+    if config.strategy is Strategy.GREEDY_CROWD_AVOIDING:
+        return _greedy_day(state, config, rng)
     choices = sample_choices_vectorized(
         config.strategy,
         config.alpha,
         state.last_restaurant,
         state.last_crowd,
-        state.was_served,
+        None,
         config.n,
         rng,
     )
@@ -218,12 +297,12 @@ def run(config: SimulationConfig) -> RunResult:
 
     state, f = init_day_one(config, rng)
     f_values = [f]
-    flags = [state.was_served] if config.record_history else None
+    flags = [state.was_served.copy()] if config.record_history else None
 
     while state.day < max_days and not (greedy and f_values[-1] == 1.0):
         f_values.append(step_day(state, config, rng))
         if flags is not None:
-            flags.append(state.was_served)
+            flags.append(state.was_served.copy())
 
     f_series = np.array(f_values)
     tau, f_s, converged = detect_convergence(f_series, config.strategy, config)

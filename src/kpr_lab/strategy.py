@@ -6,7 +6,9 @@ size at the restaurant it visited yesterday and whether it was served there.
 Random-number use is fixed so runs replay exactly: the random strategy draws
 one integer per agent; the crowd-avoiding strategies draw one uniform for
 the stay/leave decision and, only when leaving, one integer to pick among
-the other n-1 restaurants.
+the other n-1 restaurants.  A served greedy agent always stays, so greedy
+days jump over its uniform instead of drawing it: the stream, and every
+output byte, is the same as if all n uniforms had been drawn.
 """
 
 from __future__ import annotations
@@ -66,25 +68,31 @@ def sample_choices_vectorized(
     alpha: float,
     last_restaurant: np.ndarray,
     last_crowd: np.ndarray,
-    was_served: np.ndarray,
+    agents: np.ndarray | None,
     n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample all agents' choices for one day in a single vectorized pass.
+    """Sample one day's choices in a single vectorized pass.
 
     Applies exactly the per-agent rule of :func:`sample_choice`, consuming
     the stream in a fixed order: the random strategy draws n integers in
-    agent order; otherwise one uniform per agent (agent order) decides
+    agent order; otherwise a block of n uniforms (agent order) decides
     stay/leave, then the leavers draw one integer each (agent order).
+
+    The random and crowd-avoiding strategies take every agent (``agents``
+    is ignored).  The greedy strategy takes only the unserved agents:
+    ``last_restaurant`` and ``last_crowd`` hold their rows and ``agents``
+    their ascending indices.  A served greedy agent always stays, so its
+    uniform is jumped over rather than read (see :func:`uniforms_at`).
     """
     if strategy is Strategy.RANDOM:
         return rng.integers(0, n, size=n)
     if strategy is Strategy.CROWD_AVOIDING:
         p_stay = last_crowd.astype(np.float64) ** -alpha
+        stay = rng.random(n) < p_stay
     else:
         p_stay = 1.0 / last_crowd
-        p_stay[was_served] = 1.0
-    stay = rng.random(n) < p_stay
+        stay = uniforms_at(rng, agents, n) < p_stay
     choices = last_restaurant.copy()
     movers = np.flatnonzero(~stay)
     if movers.size:
@@ -92,3 +100,37 @@ def sample_choices_vectorized(
         other += other >= last_restaurant[movers]
         choices[movers] = other
     return choices
+
+
+# Jumping over a stretch of the stream costs about as much as drawing this
+# many uniforms (one advance plus one scalar draw against ~5 ns a uniform)
+JUMP_COST_UNIFORMS = 512
+
+
+def uniforms_at(
+    rng: np.random.Generator, positions: np.ndarray, n: int
+) -> np.ndarray:
+    """Return ``rng.random(n)[positions]`` for ascending positions, leaving
+    rng where ``rng.random(n)`` would.
+
+    When the positions are few against n, only they are drawn: each uniform
+    is one 64-bit step of PCG64, so ``bit_generator.advance`` jumps over the
+    others.  advance drops a buffered 32-bit half (left by a 32-bit integer
+    draw), so a pending half is put back afterwards.
+    """
+    if (len(positions) + 1) * JUMP_COST_UNIFORMS >= n:
+        return rng.random(n)[positions]
+    bit_generator = rng.bit_generator
+    before = bit_generator.state
+    values = np.empty(len(positions))
+    drawn = 0
+    for i, position in enumerate(positions.tolist()):
+        bit_generator.advance(position - drawn)
+        values[i] = rng.random()
+        drawn = position + 1
+    bit_generator.advance(n - drawn)
+    if before["has_uint32"]:
+        after = bit_generator.state
+        after["has_uint32"], after["uinteger"] = 1, before["uinteger"]
+        bit_generator.state = after
+    return values

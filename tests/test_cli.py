@@ -30,6 +30,13 @@ class TestNumberFormat:
         for value in (0.797, 17401.0, 0.00001234, 99.99999, 3.0):
             assert fnum(float(fnum(value))) == fnum(value)
 
+    @pytest.mark.parametrize("value,expected", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    ])
+    def test_non_finite_values_round_trip(self, value, expected):
+        assert fnum(value) == expected
+        assert fnum(float(fnum(value))) == expected
+
 
 class TestRunCommand:
     def test_writes_timeseries_and_summary(self, tmp_path):
@@ -159,6 +166,20 @@ class TestConfigFile:
         assert exc.value.code == cli.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("kpr: ")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("line", ["func=x", "command=sweep", "config=other.cfg"])
+    def test_parsed_attributes_that_are_not_flags_are_unknown_keys(
+        self, line, tmp_path, capsys
+    ):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--strategy", "ca", "--n", "30", "--config", str(cfg),
+                  "--out", str(tmp_path / "d")])
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"kpr: unknown config key: {line.partition('=')[0]}"]
         assert not (tmp_path / "d").exists()
 
     def test_unknown_key_rejected(self, tmp_path):

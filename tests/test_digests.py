@@ -48,7 +48,8 @@ FIGURES_DIGEST = "5a13caa843045988d32b53729fef5c852c8df304640affb13030e879ba710e
 
 # (strategy, n, seed, max_days): runs whose final_rates are read at the last
 # day, at the day before it, and at an earlier day tau, plus two runs whose
-# restaurant indices do not fit in 16 bits
+# restaurant indices do not fit in 16 bits and a capped greedy run long
+# enough to reach the endgame of few unserved agents
 RUN_CASES = {
     "random-tau0": (Strategy.RANDOM, 60, 11, 40),
     "ca-tau0": (Strategy.CROWD_AVOIDING, 20, 6, 30),
@@ -59,6 +60,7 @@ RUN_CASES = {
     "gca-capped": (Strategy.GREEDY_CROWD_AVOIDING, 80, 5, 20),
     "ca-n70000": (Strategy.CROWD_AVOIDING, 70000, 3, 3),
     "gca-n70000": (Strategy.GREEDY_CROWD_AVOIDING, 70000, 3, 3),
+    "gca-n6400-capped": (Strategy.GREEDY_CROWD_AVOIDING, 6400, 1, 3000),
 }
 
 RUN_DIGESTS = {
@@ -71,6 +73,7 @@ RUN_DIGESTS = {
     "gca-capped": "2c12fd3b91ecdfe3cbaf1db167da9eed1782b7f2188013b241a5b240259a9e37",
     "ca-n70000": "57bc438994c1142d8b478f7b52c62392f762cd1f1f422ecb96d959f3ce04a384",
     "gca-n70000": "003f34031b86c8b980f1f1000eaaff2f14afa1877032d1b48ceacec95b5a1303",
+    "gca-n6400-capped": "f97856e600b7d684c6e65480ace69025c2e5e7565cfef69971a1f7d3e1251801",
 }
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -101,13 +102,79 @@ def test_crowd_avoiding_fixed_point_when_all_alone():
         last_restaurant=assignment.copy(),
         last_crowd=np.ones(n, dtype=np.int64),
         was_served=np.ones(n, dtype=bool),
-        success_count=np.ones(n, dtype=np.int64),
+        losses=np.zeros(n, dtype=np.int64),
         crowds=np.ones(n, dtype=np.int64),
     )
     cfg = SimulationConfig(n=n, strategy=CA)
     f = step_day(state, cfg, np.random.default_rng(0))
     assert np.array_equal(state.last_restaurant, assignment)
     assert f == 1.0
+
+
+def dense_greedy_day(
+    state: WorldState, n: int, rng: np.random.Generator
+) -> tuple[WorldState, float]:
+    """Reference greedy day over all n agents: every agent's stay/leave
+    uniform is drawn and every restaurant is tallied, as the engine once did."""
+    p_stay = 1.0 / state.last_crowd
+    p_stay[state.was_served] = 1.0
+    stay = rng.random(n) < p_stay
+    choices = state.last_restaurant.copy()
+    movers = np.flatnonzero(~stay)
+    if movers.size:
+        other = rng.integers(0, n - 1, size=movers.size)
+        other += other >= state.last_restaurant[movers]
+        choices[movers] = other
+    crowds = np.bincount(choices, minlength=n)
+    served = crowds[choices] == 1
+    contested = np.flatnonzero(crowds >= 2)
+    if contested.size:
+        sizes = crowds[contested]
+        u = rng.random(contested.size)
+        offsets = np.minimum((u * sizes).astype(np.int64), sizes - 1)
+        members = np.flatnonzero(~served)
+        grouped = members[np.argsort(choices[members], kind="stable")]
+        served[grouped[np.cumsum(sizes) - sizes + offsets]] = True
+    after = WorldState(
+        state.day + 1, choices, crowds[choices], served, state.losses + ~served, crowds
+    )
+    return after, np.count_nonzero(crowds) / n
+
+
+def next_draws(rng: np.random.Generator) -> list:
+    """The next 32-bit, 64-bit and uniform draws of a copy of rng."""
+    ahead = copy.deepcopy(rng)
+    return (
+        ahead.integers(0, 1000, size=3).tolist()
+        + ahead.integers(0, 2**40, size=2).tolist()
+        + ahead.random(2).tolist()
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32),
+    days=st.integers(min_value=1, max_value=80),
+)
+@example(n=1, seed=0, days=5)
+@example(n=2, seed=0, days=20)
+@example(n=65537, seed=3, days=3)
+@example(n=3000, seed=1, days=900)  # jumps over served agents' uniforms from day 589
+@example(n=2000, seed=1, days=2800)  # to full utilization and past it
+def test_greedy_day_matches_the_dense_reference(n, seed, days):
+    cfg = SimulationConfig(n=n, strategy=GCA, seed=seed)
+    rng = np.random.default_rng(seed)
+    state, _ = init_day_one(cfg, rng)
+    reference, reference_rng = copy.deepcopy((state, rng))
+    for _ in range(days):
+        f = step_day(state, cfg, rng)
+        reference, reference_f = dense_greedy_day(reference, n, reference_rng)
+        assert f == reference_f
+        assert state.day == reference.day
+        for name in ("last_restaurant", "last_crowd", "was_served", "losses", "crowds"):
+            assert np.array_equal(getattr(state, name), getattr(reference, name)), name
+        assert next_draws(rng) == next_draws(reference_rng)
 
 
 @st.composite
