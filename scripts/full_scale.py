@@ -3,7 +3,7 @@
 
 Runs the greedy strategy at N = 51200 (where convergence takes on the order
 of 1.5e5 to 3e5 days) and, optionally, the crowd-avoiding row at the same
-size.  A greedy run took 13-18 s on a 2-vCPU VM (seeds 0-2).
+size.  A greedy run took 17-33 s on a 2-vCPU VM (seeds 0-2).
 
 Usage:
     python scripts/full_scale.py [--runs K] [--seed S] [--ca]

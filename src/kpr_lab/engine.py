@@ -15,12 +15,13 @@ arrivals are served without a draw.
 A served greedy agent always stays, so a greedy day is played over the
 unserved agents alone: it jumps over the served agents' stay/leave uniforms
 on the unchanged stream and touches only the restaurants the unserved agents
-leave or reach.  Its output is byte-identical to tallying all n agents.
+leave or reach, with a fixed sequence of numpy calls on arrays about as
+long as the unserved list.  Its output is byte-identical to tallying all n
+agents.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,6 +123,11 @@ def _greedy_day(
     the dense day draws: the choice block, then one uniform per contested
     restaurant in ascending restaurant order, picking a member by rank in
     agent order.
+
+    The day is a fixed number of numpy calls on arrays about as long as the
+    unserved list, so it costs nearly the same with one unserved agent as
+    with hundreds: a run's cost follows its number of days, not how they
+    split between crowded days and the long one-agent endgame.
     """
     n = config.n
     if state.resident is None:
@@ -136,38 +142,51 @@ def _greedy_day(
     )
     state.last_restaurant[agents] = choices
 
-    # today's crowd at each touched restaurant, in agent order
-    crowd = {x: [] for x in left.tolist()}
-    for agent, x in zip(agents.tolist(), choices.tolist()):
-        crowd.setdefault(x, []).append(agent)
-    for x, members in crowd.items():
-        holder = resident[x]
-        if holder >= 0:
-            insort(members, int(holder))
-    touched = sorted(crowd)
-    contested = [x for x in touched if len(crowd[x]) > 1]
-    draws = iter(rng.random(len(contested)).tolist() if contested else ())
+    # today's members of the touched restaurants as restaurant * n + agent:
+    # the unserved agents where they went, the residents of the restaurants
+    # they left (who stay) and of those they reached.  Sorted, each
+    # restaurant's members are adjacent and in agent order.
+    reached = resident[choices]
+    keys = np.concatenate((
+        choices * n + agents,
+        left * n + resident[left],
+        (choices * n + reached)[reached >= 0],
+    ))
+    keys.sort()
+    keys = keys[_run_starts(keys)]  # a resident may be listed more than once
+    at = keys // n
+    who = keys - at * n
+    starts = np.flatnonzero(_run_starts(at))
+    sizes = np.diff(starts, append=len(keys))
 
-    crowds, last_crowd, was_served, losses = (
-        state.crowds, state.last_crowd, state.was_served, state.losses
-    )
-    losers = []
-    for x in touched:
-        members = crowd[x]
-        size = len(members)
-        winner = members[min(int(next(draws) * size), size - 1) if size > 1 else 0]
-        resident[x] = winner
-        crowds[x] = size
-        for agent in members:
-            last_crowd[agent] = size
-            was_served[agent] = agent == winner
-            if agent != winner:
-                losses[agent] += 1
-                losers.append(agent)
+    picks = starts.copy()
+    contested = np.flatnonzero(sizes > 1)
+    if contested.size:
+        size = sizes[contested]
+        u = rng.random(contested.size)
+        picks[contested] += np.minimum((u * size).astype(np.int64), size - 1)
+    served = np.zeros(len(keys), dtype=bool)
+    served[picks] = True
+    losers = who[~served]
+
+    occupied = at[starts]
+    resident[occupied] = who[picks]
+    state.crowds[occupied] = sizes
+    state.last_crowd[who] = sizes.repeat(sizes)
+    state.was_served[who] = served
+    state.losses[losers] += 1
     losers.sort()
-    state.unserved = np.array(losers, dtype=np.int64)
+    state.unserved = losers
     state.day += 1
     return (n - len(losers)) / n
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Flag the first element of each run of equal values."""
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
 
 
 def init_day_one(
