@@ -68,16 +68,18 @@ def _service_lottery(
     own_crowd = crowds[choices]
     served = own_crowd == 1
 
-    contested = np.flatnonzero(crowds >= 2)
+    contested = (crowds >= 2).nonzero()[0]
     if contested.size:
         sizes = crowds[contested]
         u = rng.random(contested.size)
-        offsets = np.minimum((u * sizes).astype(np.int64), sizes - 1)
+        # u is a multiple of 2**-53 below 1, so u * size rounds to below
+        # size: the offset is a member's rank, never past the last member
+        offsets = (u * sizes).astype(np.int64)
         # crowd members grouped by restaurant, ascending, in agent order
         # within each group
-        members = np.flatnonzero(~served)
+        members = (~served).nonzero()[0]
         grouped = members[_stable_order(choices[members], n)]
-        starts = np.cumsum(sizes) - sizes
+        starts = sizes.cumsum() - sizes
         served[grouped[starts + offsets]] = True
     return crowds, own_crowd, served
 
@@ -90,10 +92,10 @@ def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
     of n - 1.  Each pass is stable, so together they give the one stable
     permutation of the full keys, whichever algorithm numpy picks.
     """
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    order = keys.astype(np.uint16).argsort(kind="stable")
     for shift in range(16, (n - 1).bit_length(), 16):
         digits = (keys[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digits, kind="stable")]
+        order = order[digits.argsort(kind="stable")]
     return order
 
 
@@ -131,10 +133,10 @@ def _greedy_day(
     """
     n = config.n
     if state.resident is None:
-        served = np.flatnonzero(state.was_served)
+        served = state.was_served.nonzero()[0]
         state.resident = np.full(n, -1)
         state.resident[state.last_restaurant[served]] = served
-        state.unserved = np.flatnonzero(~state.was_served)
+        state.unserved = (~state.was_served).nonzero()[0]
     agents, resident = state.unserved, state.resident
     left = state.last_restaurant[agents]
     choices = sample_choices_vectorized(
@@ -156,15 +158,15 @@ def _greedy_day(
     keys = keys[_run_starts(keys)]  # a resident may be listed more than once
     at = keys // n
     who = keys - at * n
-    starts = np.flatnonzero(_run_starts(at))
-    sizes = np.diff(starts, append=len(keys))
+    starts = _run_starts(at).nonzero()[0]
+    sizes = np.concatenate((starts[1:], [len(keys)])) - starts
 
     picks = starts.copy()
-    contested = np.flatnonzero(sizes > 1)
+    contested = (sizes > 1).nonzero()[0]
     if contested.size:
         size = sizes[contested]
         u = rng.random(contested.size)
-        picks[contested] += np.minimum((u * size).astype(np.int64), size - 1)
+        picks[contested] += (u * size).astype(np.int64)  # a rank below size
     served = np.zeros(len(keys), dtype=bool)
     served[picks] = True
     losers = who[~served]

@@ -8,6 +8,7 @@ the day step itself returns only the day's utilization (see engine).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -17,6 +18,13 @@ MAX_SEED = 2**64 - 1
 
 DEFAULT_MAX_DAYS = 1000
 GREEDY_MAX_DAYS_FACTOR = 10
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed outside 0 .. 2**64 - 1: seeds are mixed modulo 2**64
+    (see orchestrator.derive_seed), so a wider one would alias another."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
 class Strategy(Enum):
@@ -52,12 +60,11 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.max_days is not None and self.max_days < 1:
             raise ValueError(f"max_days must be >= 1, got {self.max_days}")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        check_seed(self.seed)
         if not 0.0 < self.tail_window_fraction < 1.0:
             raise ValueError(
                 f"tail_window_fraction must be in (0,1), got {self.tail_window_fraction}"

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import engine
-from .model import EnsembleSummary, RunSummary, SimulationConfig
+from .model import EnsembleSummary, RunSummary, SimulationConfig, check_seed
 from .stats import SweepRow, SweepTable
 
 _MASK64 = (1 << 64) - 1
@@ -38,7 +38,11 @@ class SweepVariable(Enum):
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """A sweep: one ensemble per value of n or alpha."""
+    """A sweep: one ensemble per value of n or alpha.
+
+    Every value's config is built on construction, so a value that makes
+    an invalid config fails before any run.
+    """
 
     base_config: SimulationConfig
     variable: SweepVariable
@@ -49,10 +53,13 @@ class SweepPlan:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("sweep needs at least one value")
+        for value in self.values:
+            self.config_for(value)
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
         if self.runs_per_value < 1:
             raise ValueError("runs_per_value must be >= 1")
+        check_seed(self.base_seed)
 
     def config_for(self, value: float) -> SimulationConfig:
         if self.variable is SweepVariable.N:
@@ -85,6 +92,7 @@ def run_ensemble(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    check_seed(base_seed)
     configs = [
         dataclasses.replace(config, seed=derive_seed(base_seed, i))
         for i in range(runs)

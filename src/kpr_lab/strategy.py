@@ -89,12 +89,12 @@ def sample_choices_vectorized(
         return rng.integers(0, n, size=n)
     if strategy is Strategy.CROWD_AVOIDING:
         p_stay = last_crowd.astype(np.float64) ** -alpha
-        stay = rng.random(n) < p_stay
+        leave = rng.random(n) >= p_stay
     else:
         p_stay = 1.0 / last_crowd
-        stay = uniforms_at(rng, agents, n) < p_stay
+        leave = uniforms_at(rng, agents, n) >= p_stay
     choices = last_restaurant.copy()
-    movers = np.flatnonzero(~stay)
+    movers = leave.nonzero()[0]
     if movers.size:
         other = rng.integers(0, n - 1, size=movers.size)
         other += other >= last_restaurant[movers]

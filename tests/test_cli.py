@@ -274,10 +274,19 @@ class TestExitCodes:
             ["run", "--strategy", "ca", "--n", "10", "--threads", "0"],
             ["sweep", "--strategy", "ca", "--variable", "n", "--values", "10,20",
              "--threads", "-4"],
+            ["run", "--strategy", "ca", "--n", "10", "--alpha", "nan"],
+            ["run", "--strategy", "ca", "--n", "10", "--alpha", "inf"],
+            ["sweep", "--strategy", "ca", "--variable", "alpha", "--values", "0.5,nan",
+             "--n", "20"],
+            ["sweep", "--strategy", "ca", "--variable", "n", "--values", "10,20",
+             "--seed", "-1"],
+            ["sweep", "--strategy", "ca", "--variable", "n", "--values", "10,20",
+             "--seed", str(2**64)],
         ],
         ids=["n-zero", "negative-alpha", "negative-seed", "non-numeric-value",
              "decreasing-values", "alpha-sweep-without-n", "unknown-config-key",
-             "zero-threads", "negative-threads"],
+             "zero-threads", "negative-threads", "nan-alpha", "inf-alpha",
+             "nan-sweep-value", "sweep-negative-seed", "sweep-seed-above-64-bits"],
     )
     def test_invalid_value_is_a_usage_error(self, args, tmp_path, capsys):
         cfg = tmp_path / "bogus.cfg"

@@ -196,6 +196,21 @@ def test_stable_order_is_the_stable_argsort(keys_and_n):
     assert np.array_equal(_stable_order(keys, n), np.argsort(keys, kind="stable"))
 
 
+def test_largest_uniform_times_a_size_rounds_below_the_size():
+    """The lotteries take floor(u * size) as the winner's rank unclamped.
+    rng.random() is a multiple of 2**-53 below 1 and rounding is monotone,
+    so the largest uniform bounds every product.  Sizes run up to 2**53,
+    far past any crowd (a crowd is at most n)."""
+    largest = np.nextafter(1.0, 0.0)
+    assert largest == 1 - 2**-53
+    powers = 2 ** np.arange(20, 54)
+    sizes = np.concatenate((np.arange(1, 2**20 + 1), powers - 1, powers, powers[:-1] + 1))
+    assert ((largest * sizes).astype(np.int64) < sizes).all()
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(1, 2**53, size=2**20, endpoint=True)
+    assert ((largest * sizes).astype(np.int64) < sizes).all()
+
+
 def test_replaying_a_seed_is_bit_identical():
     for strategy in (RANDOM, CA, GCA):
         cfg = SimulationConfig(n=37, strategy=strategy, seed=99, max_days=60)

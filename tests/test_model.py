@@ -25,6 +25,8 @@ class TestSimulationConfig:
             {"tail_window_fraction": 0.0},
             {"tail_window_fraction": 1.0},
             {"stability_days": 0},
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -97,6 +97,11 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(SimulationConfig(n=5, strategy=CA), runs=0, base_seed=0)
 
+    @pytest.mark.parametrize("base_seed", [-1, 2**64])
+    def test_rejects_a_seed_outside_64_bits(self, base_seed):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            run_ensemble(SimulationConfig(n=5, strategy=CA), runs=1, base_seed=base_seed)
+
 
 class TestSweepPlan:
     def test_rejects_empty_values(self):
@@ -113,6 +118,25 @@ class TestSweepPlan:
                 base_config=SimulationConfig(n=10, strategy=CA),
                 variable=SweepVariable.N,
                 values=(100.0, 100.0),
+            )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_rejects_an_alpha_value_before_any_run(self, bad):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            SweepPlan(
+                base_config=SimulationConfig(n=10, strategy=CA),
+                variable=SweepVariable.ALPHA,
+                values=(0.5, bad),
+            )
+
+    @pytest.mark.parametrize("base_seed", [-1, 2**64])
+    def test_rejects_a_seed_outside_64_bits(self, base_seed):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            SweepPlan(
+                base_config=SimulationConfig(n=10, strategy=CA),
+                variable=SweepVariable.N,
+                values=(10.0,),
+                base_seed=base_seed,
             )
 
     def test_config_for_value(self):
