@@ -1,7 +1,6 @@
 """Monte Carlo laboratory for the Kolkata Paise Restaurant game."""
 
 from .model import (
-    AgentState,
     EnsembleSummary,
     RunResult,
     RunSummary,
@@ -10,7 +9,6 @@ from .model import (
 )
 
 __all__ = [
-    "AgentState",
     "EnsembleSummary",
     "RunResult",
     "RunSummary",

@@ -13,14 +13,16 @@ byte for byte.  The default seed comes from --seed, then a config file, then
 the KPR_SEED environment variable, then 0.
 
 A config file (--config) holds flat ``key=value`` lines mirroring the long
-flag names (e.g. ``strategy=ca``, ``max-days=2000``, ``strict=true``);
-explicit flags win.
+flag names, with ``-`` or ``_`` (e.g. ``strategy=ca``, ``max-days=2000``,
+``strict=true``).  Each line becomes a flag token placed before the flags
+typed on the command line, so argparse checks its value and explicit flags
+win.  Every usage error, a malformed flag as much as an invalid value or a
+config key, exits 2 with one ``kpr: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -114,18 +116,24 @@ def write_summary(path: Path, entries: list[tuple[str, object]]) -> None:
     _write_lines(path, lines)
 
 
-def _config_from_args(args, strategy: Strategy) -> SimulationConfig:
-    return SimulationConfig(
+def _run(args, command: str, record_history: bool = False):
+    """Run the simulation the flags describe and write its timeseries.csv.
+
+    Returns the result and the head of its summary: the command and the
+    config echo.
+    """
+    config = SimulationConfig(
         n=args.n,
-        strategy=strategy,
+        strategy=STRATEGY_NAMES[args.strategy],
         alpha=args.alpha,
         max_days=args.max_days,
         seed=args.seed,
+        record_history=record_history,
     )
-
-
-def _config_echo(config: SimulationConfig) -> list[tuple[str, object]]:
-    return [
+    result = engine.run(config)
+    write_timeseries(Path(args.out) / "timeseries.csv", result)
+    return result, [
+        ("command", command),
         ("strategy", config.strategy.value),
         ("n", config.n),
         ("alpha", float(config.alpha)),
@@ -134,16 +142,15 @@ def _config_echo(config: SimulationConfig) -> list[tuple[str, object]]:
     ]
 
 
+def _status(args, converged: bool) -> int:
+    return EXIT_STRICT_UNCONVERGED if args.strict and not converged else EXIT_OK
+
+
 def cmd_run(args) -> int:
-    strategy = STRATEGY_NAMES[args.strategy]
-    config = _config_from_args(args, strategy)
-    result = engine.run(config)
-    out = Path(args.out)
-    write_timeseries(out / "timeseries.csv", result)
+    result, echo = _run(args, "run")
     write_summary(
-        out / "summary.txt",
-        [("command", "run")]
-        + _config_echo(config)
+        Path(args.out) / "summary.txt",
+        echo
         + [
             ("days", result.days),
             ("tau", result.tau),
@@ -151,9 +158,7 @@ def cmd_run(args) -> int:
             ("converged", result.converged),
         ],
     )
-    if args.strict and not result.converged:
-        return EXIT_STRICT_UNCONVERGED
-    return EXIT_OK
+    return _status(args, result.converged)
 
 
 def cmd_sweep(args) -> int:
@@ -194,26 +199,18 @@ def cmd_sweep(args) -> int:
         entries.append(("fs_extrapolated_intercept", intercept))
         entries.append(("fs_vs_inverse_n_slope", slope))
     write_summary(out / "summary.txt", entries)
-    if args.strict and any(r.converged_fraction < 1.0 for r in table.rows):
-        return EXIT_STRICT_UNCONVERGED
-    return EXIT_OK
+    return _status(args, all(r.converged_fraction == 1.0 for r in table.rows))
 
 
 def cmd_worldlines(args) -> int:
-    strategy = STRATEGY_NAMES[args.strategy]
-    config = dataclasses.replace(
-        _config_from_args(args, strategy), record_history=True
-    )
-    result = engine.run(config)
+    result, echo = _run(args, "worldlines", record_history=True)
     pct = stats.world_lines(result)
     lo, hi, spread = stats.dispersion_summary(pct)
     out = Path(args.out)
-    write_timeseries(out / "timeseries.csv", result)
     write_worldlines(out / "worldlines.csv", pct)
     write_summary(
         out / "summary.txt",
-        [("command", "worldlines")]
-        + _config_echo(config)
+        echo
         + [
             ("days", result.days),
             ("tau", result.tau),
@@ -223,9 +220,7 @@ def cmd_worldlines(args) -> int:
             ("spread", spread),
         ],
     )
-    if args.strict and not result.converged:
-        return EXIT_STRICT_UNCONVERGED
-    return EXIT_OK
+    return _status(args, result.converged)
 
 
 def cmd_figures(args) -> int:
@@ -234,49 +229,40 @@ def cmd_figures(args) -> int:
     sweep_ns = FIGURE_FULL_SWEEP_NS if args.full else FIGURE_SWEEP_NS
     status = EXIT_OK
 
-    # fig1/fig2: a typical crowd-avoiding run plus the n-sweep behind the
-    # saturation-value and convergence-time plots
-    ca = SimulationConfig(n=1600, strategy=Strategy.CROWD_AVOIDING, seed=FIGURE_SEEDS["fig1"])
-    write_timeseries(out / "fig1" / "timeseries.csv", engine.run(ca))
-    plan = SweepPlan(
-        base_config=SimulationConfig(n=100, strategy=Strategy.CROWD_AVOIDING),
-        variable=SweepVariable.N,
-        values=tuple(float(v) for v in sweep_ns),
-        runs_per_value=args.runs,
-        base_seed=FIGURE_SEEDS["fig2"],
-    )
-    table = run_sweep(plan, max_workers=workers)
-    intercept, slope = stats.estimate_fs_extrapolation(table)
-    for fig in ("fig1", "fig2"):
-        write_sweep(out / fig / "sweep.csv", table)
-    write_summary(
-        out / "fig1" / "summary.txt",
-        [
-            ("command", "figures"),
-            ("figure", "fig1"),
-            ("run_seed", FIGURE_SEEDS["fig1"]),
-            ("sweep_seed", FIGURE_SEEDS["fig2"]),
-            ("fs_extrapolated_intercept", intercept),
-            ("fs_vs_inverse_n_slope", slope),
-        ],
-    )
-
-    # fig3/fig4: a typical greedy run and the linear tau(N) sweep
-    gca = SimulationConfig(
-        n=1600, strategy=Strategy.GREEDY_CROWD_AVOIDING, seed=FIGURE_SEEDS["fig3"]
-    )
-    write_timeseries(out / "fig3" / "timeseries.csv", engine.run(gca))
-    plan = SweepPlan(
-        base_config=SimulationConfig(n=100, strategy=Strategy.GREEDY_CROWD_AVOIDING),
-        variable=SweepVariable.N,
-        values=tuple(float(v) for v in sweep_ns),
-        runs_per_value=args.runs,
-        base_seed=FIGURE_SEEDS["fig4"],
-    )
-    table = run_sweep(plan, max_workers=workers)
-    write_sweep(out / "fig4" / "sweep.csv", table)
-    if any(row.converged_fraction < 1.0 for row in table.rows):
-        status = EXIT_STRICT_UNCONVERGED if args.strict else status
+    # fig1/fig2 (crowd-avoiding) and fig3/fig4 (greedy): a typical run at
+    # n = 1600 and the n-sweep behind the saturation-value, convergence-time
+    # and linear tau(N) plots
+    for strategy, run_fig, sweep_fig in (
+        (Strategy.CROWD_AVOIDING, "fig1", "fig2"),
+        (Strategy.GREEDY_CROWD_AVOIDING, "fig3", "fig4"),
+    ):
+        typical = SimulationConfig(n=1600, strategy=strategy, seed=FIGURE_SEEDS[run_fig])
+        write_timeseries(out / run_fig / "timeseries.csv", engine.run(typical))
+        plan = SweepPlan(
+            base_config=SimulationConfig(n=100, strategy=strategy),
+            variable=SweepVariable.N,
+            values=tuple(float(v) for v in sweep_ns),
+            runs_per_value=args.runs,
+            base_seed=FIGURE_SEEDS[sweep_fig],
+        )
+        table = run_sweep(plan, max_workers=workers)
+        write_sweep(out / sweep_fig / "sweep.csv", table)
+        if strategy is Strategy.GREEDY_CROWD_AVOIDING:
+            status = _status(args, all(r.converged_fraction == 1.0 for r in table.rows))
+        else:
+            intercept, slope = stats.estimate_fs_extrapolation(table)
+            write_sweep(out / run_fig / "sweep.csv", table)
+            write_summary(
+                out / run_fig / "summary.txt",
+                [
+                    ("command", "figures"),
+                    ("figure", run_fig),
+                    ("run_seed", FIGURE_SEEDS[run_fig]),
+                    ("sweep_seed", FIGURE_SEEDS[sweep_fig]),
+                    ("fs_extrapolated_intercept", intercept),
+                    ("fs_vs_inverse_n_slope", slope),
+                ],
+            )
 
     # fig5: world lines of one greedy run at n=50
     wl_config = SimulationConfig(
@@ -315,52 +301,22 @@ def cmd_figures(args) -> int:
     return status
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill unset flags from a flat key=value config file."""
-    if not getattr(args, "config", None):
-        return
-    path = Path(args.config)
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        attr = key.strip().replace("-", "_")
-        if attr not in args.flag_keys:
-            raise ValueError(f"unknown config key: {key.strip()}")
-        if getattr(args, attr) is None:
-            current_type = {
-                "n": int, "seed": int, "max_days": int, "runs": int,
-                "threads": int, "alpha": float, "strict": _boolean,
-                "full": _boolean,
-            }.get(attr, str)
-            try:
-                setattr(args, attr, current_type(value.strip()))
-            except ValueError as exc:
-                raise ValueError(f"config key {key.strip()}: {exc}") from None
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a malformed command line, so that main reports it
+    as one ``kpr:`` line, like an invalid value, instead of usage + error."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
-def _boolean(text: str) -> bool:
-    if text.lower() not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {text!r}")
-    return text.lower() == "true"
-
-
-def _resolve_defaults(args: argparse.Namespace) -> None:
-    if getattr(args, "seed", None) is None:
-        args.seed = int(os.environ.get("KPR_SEED", "0"))
-    if getattr(args, "alpha", None) is None:
-        args.alpha = 1.0
-    if getattr(args, "runs", None) is None:
-        args.runs = 30
-    if getattr(args, "threads", None) is None:
-        args.threads = os.cpu_count() or 1
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
-    if getattr(args, "strict", None) is None:
-        args.strict = False
-    if getattr(args, "full", None) is None:
-        args.full = False
+def _threads(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def _flag_keys(p: argparse.ArgumentParser) -> frozenset[str]:
@@ -369,57 +325,65 @@ def _flag_keys(p: argparse.ArgumentParser) -> frozenset[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kpr", description="Kolkata Paise Restaurant game simulations"
-    )
+    parser = _Parser(prog="kpr", description="Kolkata Paise Restaurant game simulations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, needs_n: bool) -> None:
-        p.add_argument("--strategy", choices=sorted(STRATEGY_NAMES), required=True)
-        p.add_argument("--n", type=int, required=needs_n)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-days", type=int, default=None, dest="max_days")
-        p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--strict", action="store_const", const=True, default=None)
-        p.add_argument("--config", default=None, help="key=value defaults file")
-
     p_run = sub.add_parser("run", help="single simulation run")
-    common(p_run, needs_n=True)
-    p_run.set_defaults(func=cmd_run, flag_keys=_flag_keys(p_run))
-
     p_sweep = sub.add_parser("sweep", help="ensemble sweep over n or alpha")
-    common(p_sweep, needs_n=False)
+    p_wl = sub.add_parser("worldlines", help="per-agent success trajectories")
+    p_fig = sub.add_parser("figures", help="canonical experiment presets")
+    for p in (p_run, p_sweep, p_wl):
+        p.add_argument("--strategy", choices=sorted(STRATEGY_NAMES), required=True)
+        p.add_argument("--n", type=int, required=p is not p_sweep)
+        p.add_argument("--alpha", type=float, default=1.0)
+        p.add_argument("--seed", type=int, default=os.environ.get("KPR_SEED", "0"))
+        p.add_argument("--max-days", type=int)
     p_sweep.add_argument("--variable", choices=["n", "alpha"], required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated list")
-    p_sweep.add_argument("--runs", type=int, default=None)
-    p_sweep.set_defaults(func=cmd_sweep, flag_keys=_flag_keys(p_sweep))
-
-    p_wl = sub.add_parser("worldlines", help="per-agent success trajectories")
-    common(p_wl, needs_n=True)
-    p_wl.set_defaults(func=cmd_worldlines, flag_keys=_flag_keys(p_wl))
-
-    p_fig = sub.add_parser("figures", help="canonical experiment presets")
-    p_fig.add_argument("--out", default=None)
-    p_fig.add_argument("--runs", type=int, default=None)
-    p_fig.add_argument("--threads", type=int, default=None)
-    p_fig.add_argument("--full", action="store_const", const=True, default=None)
-    p_fig.add_argument("--strict", action="store_const", const=True, default=None)
-    p_fig.add_argument("--config", default=None)
-    p_fig.set_defaults(func=cmd_figures, flag_keys=_flag_keys(p_fig))
+    p_fig.add_argument("--full", action="store_true")
+    for p in (p_sweep, p_fig):
+        p.add_argument("--runs", type=int, default=30)
+    for p, func in ((p_run, cmd_run), (p_sweep, cmd_sweep), (p_wl, cmd_worldlines),
+                    (p_fig, cmd_figures)):
+        p.add_argument("--out", default=".")
+        p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
+        p.add_argument("--strict", action="store_true")
+        p.add_argument("--config", help="key=value defaults file")
+        p.set_defaults(func=func, flag_keys=_flag_keys(p))
     return parser
 
 
+def _config_tokens(args: argparse.Namespace) -> list[str]:
+    """The flag tokens that the key=value lines of the --config file stand for."""
+    tokens = []
+    for raw in Path(args.config).read_text().splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key.replace("-", "_") not in args.flag_keys:
+            raise ValueError(f"unknown config key: {key}")
+        flag = "--" + key.replace("_", "-")
+        if key not in ("strict", "full"):
+            tokens.append(f"{flag}={value}")
+        elif value.lower() == "true":
+            tokens.append(flag)
+        elif value.lower() != "false":
+            raise ValueError(f"config key {key}: expected true or false, got {value!r}")
+    return tokens
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand.  I/O errors return EXIT_ERROR; invalid values
-    raise SystemExit(EXIT_USAGE), as argparse does for malformed flags."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand.  I/O errors return EXIT_ERROR; a malformed flag or
+    an invalid value prints one ``kpr:`` line and raises
+    SystemExit(EXIT_USAGE)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        _apply_config_file(args)
-        _resolve_defaults(args)
-        if getattr(args, "out", None) is None:
-            args.out = "."
+        args = parser.parse_args(argv)
+        if args.config:
+            # explicit flags follow the config's tokens, so they win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
         return args.func(args)
     except OSError as exc:
         print(f"kpr: {exc}", file=sys.stderr)

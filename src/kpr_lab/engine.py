@@ -227,12 +227,15 @@ def step_day(
 
 
 # Settlement threshold: a day counts as saturated once the smoothed series
-# is within SETTLE_FRACTION of the day-1 transient amplitude around f_s,
-# plus a NOISE_ALLOWANCE-sigma allowance for the smoothed series' own
-# fluctuations.  AMPLITUDE_SIGNIFICANCE is the significance (in tail-mean
-# standard errors) an amplitude must reach before a transient is considered
-# present at all.
+# (a STABILITY_DAYS-wide running mean) is within SETTLE_FRACTION of the
+# day-1 transient amplitude around f_s, plus a NOISE_ALLOWANCE-sigma
+# allowance for the smoothed series' own fluctuations.  f_s and sigma come
+# from the trailing TAIL_WINDOW_FRACTION of the days.  AMPLITUDE_SIGNIFICANCE
+# is the significance (in tail-mean standard errors) an amplitude must reach
+# before a transient is considered present at all.
 SETTLE_FRACTION = 0.15
+TAIL_WINDOW_FRACTION = 0.5
+STABILITY_DAYS = 10
 NOISE_ALLOWANCE = 1.0
 AMPLITUDE_SIGNIFICANCE = 5.0
 
@@ -246,7 +249,7 @@ def detect_convergence(
     strategies, f_s and the day-to-day spread sigma come from the trailing
     tail window, and convergence means the initial transient has decayed:
     day 1 starts at the uniform-choice baseline 1 - (1 - 1/n)^n, and the
-    converged day is the first day whose ``stability_days``-wide centered
+    converged day is the first day whose STABILITY_DAYS-wide centered
     running mean lies within SETTLE_FRACTION of the day-1 amplitude
     |f_s - baseline| around f_s (plus a small allowance for the running
     mean's own noise).  The amplitude scale makes the estimate
@@ -273,7 +276,7 @@ def detect_convergence(
             return int(full[0]), 1.0, True
         return days, float(f_series[-1]), False
 
-    window_len = int(round(config.tail_window_fraction * days))
+    window_len = int(round(TAIL_WINDOW_FRACTION * days))
     if window_len < 2:
         return days, float(f_series.mean()), False
     tail = f_series[-window_len:]
@@ -285,7 +288,7 @@ def detect_convergence(
     if amplitude <= AMPLITUDE_SIGNIFICANCE * sigma / np.sqrt(window_len):
         return 0, f_s, True
 
-    k = min(config.stability_days, days)
+    k = min(STABILITY_DAYS, days)
     threshold = SETTLE_FRACTION * amplitude + NOISE_ALLOWANCE * sigma / np.sqrt(k)
     smoothed = _centered_running_mean(f_series, k)
     candidates = np.flatnonzero(np.abs(smoothed - f_s) <= threshold)

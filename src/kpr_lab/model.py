@@ -53,8 +53,6 @@ class SimulationConfig:
     alpha: float = 1.0
     max_days: int | None = None
     seed: int = 0
-    tail_window_fraction: float = 0.5
-    stability_days: int = 10
     record_history: bool = False
 
     def __post_init__(self) -> None:
@@ -65,12 +63,6 @@ class SimulationConfig:
         if self.max_days is not None and self.max_days < 1:
             raise ValueError(f"max_days must be >= 1, got {self.max_days}")
         check_seed(self.seed)
-        if not 0.0 < self.tail_window_fraction < 1.0:
-            raise ValueError(
-                f"tail_window_fraction must be in (0,1), got {self.tail_window_fraction}"
-            )
-        if self.stability_days < 1:
-            raise ValueError(f"stability_days must be >= 1, got {self.stability_days}")
 
     @property
     def effective_max_days(self) -> int:
@@ -79,15 +71,6 @@ class SimulationConfig:
         if self.strategy is Strategy.GREEDY_CROWD_AVOIDING:
             return GREEDY_MAX_DAYS_FACTOR * self.n
         return DEFAULT_MAX_DAYS
-
-
-@dataclass
-class AgentState:
-    """One agent's view of yesterday: where it went, how crowded it was."""
-
-    last_restaurant: int
-    last_crowd: int
-    was_served: bool
 
 
 @dataclass

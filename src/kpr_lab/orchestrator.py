@@ -63,6 +63,8 @@ class SweepPlan:
 
     def config_for(self, value: float) -> SimulationConfig:
         if self.variable is SweepVariable.N:
+            if not float(value).is_integer():
+                raise ValueError(f"sweep over n needs whole numbers, got {value}")
             return dataclasses.replace(self.base_config, n=int(value))
         return dataclasses.replace(self.base_config, alpha=float(value))
 

@@ -15,52 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import AgentState, Strategy
-
-
-def stay_probability(
-    strategy: Strategy, alpha: float, last_crowd: int, was_served: bool
-) -> float:
-    """Probability of returning to yesterday's restaurant.
-
-    Crowd-avoiding agents return with probability ``1 / crowd**alpha``; the
-    greedy variant sends served agents back with certainty and applies the
-    ``alpha = 1`` rule to everyone else.  The random strategy never consults
-    this function.
-    """
-    if last_crowd < 1:
-        raise ValueError(f"last_crowd must be >= 1, got {last_crowd}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if strategy is Strategy.CROWD_AVOIDING:
-        return float(last_crowd) ** -alpha
-    if strategy is Strategy.GREEDY_CROWD_AVOIDING:
-        return 1.0 if was_served else 1.0 / last_crowd
-    raise ValueError("random strategy does not define a stay probability")
-
-
-def sample_choice(
-    agent: AgentState,
-    strategy: Strategy,
-    alpha: float,
-    n: int,
-    rng: np.random.Generator,
-) -> int:
-    """Sample one agent's restaurant for the next day.
-
-    The "other" branch draws a uniform index over n-1 slots and skips past
-    yesterday's restaurant, so the stayed-at restaurant can never be picked
-    through it.
-    """
-    if strategy is Strategy.RANDOM:
-        return int(rng.integers(n))
-    p = stay_probability(strategy, alpha, agent.last_crowd, agent.was_served)
-    if rng.random() < p:
-        return agent.last_restaurant
-    other = int(rng.integers(n - 1))
-    if other >= agent.last_restaurant:
-        other += 1
-    return other
+from .model import Strategy
 
 
 def sample_choices_vectorized(
@@ -74,10 +29,12 @@ def sample_choices_vectorized(
 ) -> np.ndarray:
     """Sample one day's choices in a single vectorized pass.
 
-    Applies exactly the per-agent rule of :func:`sample_choice`, consuming
-    the stream in a fixed order: the random strategy draws n integers in
-    agent order; otherwise a block of n uniforms (agent order) decides
-    stay/leave, then the leavers draw one integer each (agent order).
+    An agent stays with probability ``1 / crowd**alpha`` (crowd-avoiding)
+    or ``1 / crowd`` (unserved greedy), else picks uniformly among the other
+    n-1 restaurants; ``tests/reference.py`` writes this rule out per agent.
+    The stream is consumed in a fixed order: the random strategy draws n
+    integers in agent order; otherwise a block of n uniforms (agent order)
+    decides stay/leave, then the leavers draw one integer each (agent order).
 
     The random and crowd-avoiding strategies take every agent (``agents``
     is ignored).  The greedy strategy takes only the unserved agents:

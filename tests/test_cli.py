@@ -1,8 +1,14 @@
+import argparse
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from kpr_lab import cli
 from kpr_lab.cli import fnum, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def read(path):
@@ -109,6 +115,15 @@ class TestSeedResolution:
               "--seed", "6", "--out", str(out)])
         assert "seed=6" in (out / "summary.txt").read_text()
 
+    def test_config_beats_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("KPR_SEED", "41")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("seed=4\n")
+        out = tmp_path / "d"
+        main(["run", "--strategy", "random", "--n", "10", "--max-days", "5",
+              "--config", str(cfg), "--out", str(out)])
+        assert "seed=4" in (out / "summary.txt").read_text().splitlines()
+
     def test_default_is_zero(self, tmp_path, monkeypatch):
         monkeypatch.delenv("KPR_SEED", raising=False)
         out = tmp_path / "d"
@@ -127,6 +142,16 @@ class TestConfigFile:
         assert rc == 0
         text = (out / "summary.txt").read_text()
         assert "seed=4" in text and "max_days=60" in text
+
+    @pytest.mark.parametrize("key", ["max_days", "max-days"])
+    def test_keys_take_dashes_or_underscores(self, key, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key}=60\n")
+        out = tmp_path / "d"
+        rc = main(["run", "--strategy", "ca", "--n", "30", "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 0
+        assert "max_days=60" in (out / "summary.txt").read_text().splitlines()
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -256,10 +281,26 @@ class TestWorldlinesCommand:
 
 
 class TestExitCodes:
-    def test_usage_error(self):
+    @pytest.mark.parametrize(
+        "args,env_seed",
+        [
+            (["run", "--n", "10"], "0"),
+            (["run", "--strategy", "ca", "--n", "x"], "0"),
+            (["run", "--strategy", "ca", "--n", "10", "--bogus", "1"], "0"),
+            (["bogus"], "0"),
+            (["run", "--strategy", "ca", "--n", "10"], "abc"),
+        ],
+        ids=["missing-strategy", "non-integer-n", "unknown-flag",
+             "unknown-subcommand", "non-integer-env-seed"],
+    )
+    def test_usage_error(self, args, env_seed, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("KPR_SEED", env_seed)
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--n", "10"])  # missing --strategy
-        assert exc.value.code == 2
+            main(args + ["--out", str(tmp_path / "d")])
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("kpr: ")
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
         "args",
@@ -333,3 +374,27 @@ def test_figures_smoke(tmp_path, monkeypatch):
     assert (out / "fig5" / "worldlines.csv").exists()
     header = (out / "fig6" / "dispersion.csv").read_text().splitlines()[0]
     assert header == "n,dispersion_min_rate_mean,runs"
+
+
+def readme_synopsis() -> dict[str, set[str]]:
+    """The long flags README's "Command line" synopsis lists per subcommand."""
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    flags: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("kpr "):
+            command = line.split()[1]
+        if line.strip():
+            flags.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def test_readme_synopsis_matches_the_parsers():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    documented = readme_synopsis()
+    assert documented.keys() == subparsers.keys()
+    for command, parser in subparsers.items():
+        flags = {s for s in parser._option_string_actions if s.startswith("--")}
+        assert documented[command] == flags - {"--help"}, command
+        keys = parser.get_default("flag_keys")
+        assert {"--" + key.replace("_", "-") for key in keys} <= flags, command

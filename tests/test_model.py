@@ -8,8 +8,6 @@ class TestSimulationConfig:
         cfg = SimulationConfig(n=100, strategy=Strategy.CROWD_AVOIDING)
         assert cfg.alpha == 1.0
         assert cfg.seed == 0
-        assert cfg.tail_window_fraction == 0.5
-        assert cfg.stability_days == 10
         assert not cfg.record_history
 
     @pytest.mark.parametrize(
@@ -22,9 +20,6 @@ class TestSimulationConfig:
             {"max_days": 0},
             {"seed": -1},
             {"seed": 2**64},
-            {"tail_window_fraction": 0.0},
-            {"tail_window_fraction": 1.0},
-            {"stability_days": 0},
             {"alpha": float("nan")},
             {"alpha": float("inf")},
         ],

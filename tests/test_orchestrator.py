@@ -129,6 +129,15 @@ class TestSweepPlan:
                 values=(0.5, bad),
             )
 
+    @pytest.mark.parametrize("bad", [10.5, float("inf"), float("nan")])
+    def test_rejects_an_n_value_that_is_not_whole(self, bad):
+        with pytest.raises(ValueError, match="whole numbers"):
+            SweepPlan(
+                base_config=SimulationConfig(n=10, strategy=CA),
+                variable=SweepVariable.N,
+                values=(5.0, bad),
+            )
+
     @pytest.mark.parametrize("base_seed", [-1, 2**64])
     def test_rejects_a_seed_outside_64_bits(self, base_seed):
         with pytest.raises(ValueError, match="seed must fit in 64 bits"):
