@@ -20,6 +20,9 @@ class TestSimulationConfig:
             {"max_days": 0},
             {"seed": -1},
             {"seed": 2**64},
+            {"alpha": -0.0},
+            {"alpha": float("-inf")},
+            {"max_days": -1},
             {"alpha": float("nan")},
             {"alpha": float("inf")},
         ],
