@@ -16,7 +16,7 @@ A config file (--config) holds flat ``key=value`` lines mirroring the long
 flag names, with ``-`` or ``_`` (e.g. ``strategy=ca``, ``max-days=2000``,
 ``strict=true``).  Each line becomes a flag token placed before the flags
 typed on the command line, so argparse checks its value and explicit flags
-win.  Every usage error, a malformed flag as much as an invalid value or a
+win; the file may hold required flags too.  Every usage error, a malformed flag as much as an invalid value or a
 config key, exits 2 with one ``kpr: ...`` line on stderr.
 """
 
@@ -31,12 +31,6 @@ from pathlib import Path
 from . import engine, stats
 from .model import SimulationConfig, Strategy
 from .orchestrator import SweepPlan, SweepVariable, run_ensemble, run_sweep
-
-STRATEGY_NAMES = {
-    "random": Strategy.RANDOM,
-    "ca": Strategy.CROWD_AVOIDING,
-    "gca": Strategy.GREEDY_CROWD_AVOIDING,
-}
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -84,10 +78,10 @@ def write_timeseries(path: Path, result) -> None:
     _write_lines(path, lines)
 
 
-def write_sweep(path: Path, table) -> None:
+def write_sweep(path: Path, variable: SweepVariable, rows) -> None:
     lines = ["value,fs_mean,fs_std,tau_mean,tau_std,runs,converged_fraction"]
-    for row in table.rows:
-        value = int(row.value) if table.variable == "n" else fnum(row.value)
+    for row in rows:
+        value = row.config.n if variable is SweepVariable.N else fnum(row.config.alpha)
         lines.append(
             f"{value},{fnum(row.fs_mean)},{fnum(row.fs_std)},"
             f"{fnum(row.tau_mean)},{fnum(row.tau_std)},{row.runs},"
@@ -124,7 +118,7 @@ def _run(args, command: str, record_history: bool = False):
     """
     config = SimulationConfig(
         n=args.n,
-        strategy=STRATEGY_NAMES[args.strategy],
+        strategy=Strategy(args.strategy),
         alpha=args.alpha,
         max_days=args.max_days,
         seed=args.seed,
@@ -162,7 +156,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    strategy = STRATEGY_NAMES[args.strategy]
+    strategy = Strategy(args.strategy)
     variable = SweepVariable(args.variable)
     if variable is SweepVariable.N:
         values = tuple(int(v) for v in args.values.split(","))
@@ -182,9 +176,9 @@ def cmd_sweep(args) -> int:
         runs_per_value=args.runs,
         base_seed=args.seed,
     )
-    table = run_sweep(plan, max_workers=args.threads)
+    rows = run_sweep(plan, max_workers=args.threads)
     out = Path(args.out)
-    write_sweep(out / "sweep.csv", table)
+    write_sweep(out / "sweep.csv", variable, rows)
     entries: list[tuple[str, object]] = [
         ("command", "sweep"),
         ("strategy", strategy.value),
@@ -192,14 +186,14 @@ def cmd_sweep(args) -> int:
         ("values", args.values),
         ("runs_per_value", args.runs),
         ("base_seed", args.seed),
-        ("converged_fraction_min", min(r.converged_fraction for r in table.rows)),
+        ("converged_fraction_min", min(r.converged_fraction for r in rows)),
     ]
-    if variable is SweepVariable.N and len(table.rows) >= 3:
-        intercept, slope = stats.estimate_fs_extrapolation(table)
+    if variable is SweepVariable.N and len(rows) >= 3:
+        intercept, slope = stats.estimate_fs_extrapolation(rows)
         entries.append(("fs_extrapolated_intercept", intercept))
         entries.append(("fs_vs_inverse_n_slope", slope))
     write_summary(out / "summary.txt", entries)
-    return _status(args, all(r.converged_fraction == 1.0 for r in table.rows))
+    return _status(args, all(r.converged_fraction == 1.0 for r in rows))
 
 
 def cmd_worldlines(args) -> int:
@@ -245,13 +239,13 @@ def cmd_figures(args) -> int:
             runs_per_value=args.runs,
             base_seed=FIGURE_SEEDS[sweep_fig],
         )
-        table = run_sweep(plan, max_workers=workers)
-        write_sweep(out / sweep_fig / "sweep.csv", table)
+        rows = run_sweep(plan, max_workers=workers)
+        write_sweep(out / sweep_fig / "sweep.csv", SweepVariable.N, rows)
         if strategy is Strategy.GREEDY_CROWD_AVOIDING:
-            status = _status(args, all(r.converged_fraction == 1.0 for r in table.rows))
+            status = _status(args, all(r.converged_fraction == 1.0 for r in rows))
         else:
-            intercept, slope = stats.estimate_fs_extrapolation(table)
-            write_sweep(out / run_fig / "sweep.csv", table)
+            intercept, slope = stats.estimate_fs_extrapolation(rows)
+            write_sweep(out / run_fig / "sweep.csv", SweepVariable.N, rows)
             write_summary(
                 out / run_fig / "summary.txt",
                 [
@@ -288,7 +282,7 @@ def cmd_figures(args) -> int:
     )
 
     # fig6: dispersion of final success rates versus system size
-    rows = ["n,dispersion_min_rate_mean,runs"]
+    lines = ["n,dispersion_min_rate_mean,runs"]
     for n in FIGURE_WORLDLINE_NS:
         summary = run_ensemble(
             SimulationConfig(n=n, strategy=Strategy.GREEDY_CROWD_AVOIDING),
@@ -296,8 +290,8 @@ def cmd_figures(args) -> int:
             base_seed=FIGURE_SEEDS["fig6"],
             max_workers=workers,
         )
-        rows.append(f"{n},{fnum(summary.dispersion_min_rate_mean)},{summary.runs}")
-    _write_lines(out / "fig6" / "dispersion.csv", rows)
+        lines.append(f"{n},{fnum(summary.dispersion_min_rate_mean)},{summary.runs}")
+    _write_lines(out / "fig6" / "dispersion.csv", lines)
     return status
 
 
@@ -327,40 +321,42 @@ def _flag_keys(p: argparse.ArgumentParser) -> frozenset[str]:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kpr", description="Kolkata Paise Restaurant game simulations")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser
     p_run = sub.add_parser("run", help="single simulation run")
     p_sweep = sub.add_parser("sweep", help="ensemble sweep over n or alpha")
     p_wl = sub.add_parser("worldlines", help="per-agent success trajectories")
     p_fig = sub.add_parser("figures", help="canonical experiment presets")
     for p in (p_run, p_sweep, p_wl):
-        p.add_argument("--strategy", choices=sorted(STRATEGY_NAMES), required=True)
+        p.add_argument("--strategy", choices=[s.value for s in Strategy], required=True)
         p.add_argument("--n", type=int, required=p is not p_sweep)
         p.add_argument("--alpha", type=float, default=1.0)
         p.add_argument("--seed", type=int, default=os.environ.get("KPR_SEED", "0"))
         p.add_argument("--max-days", type=int)
-    p_sweep.add_argument("--variable", choices=["n", "alpha"], required=True)
+    p_sweep.add_argument("--variable", choices=[v.value for v in SweepVariable],
+                         required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated list")
     p_fig.add_argument("--full", action="store_true")
     for p in (p_sweep, p_fig):
         p.add_argument("--runs", type=int, default=30)
+        p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
     for p, func in ((p_run, cmd_run), (p_sweep, cmd_sweep), (p_wl, cmd_worldlines),
                     (p_fig, cmd_figures)):
         p.add_argument("--out", default=".")
-        p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
         p.add_argument("--strict", action="store_true")
         p.add_argument("--config", help="key=value defaults file")
         p.set_defaults(func=func, flag_keys=_flag_keys(p))
     return parser
 
 
-def _config_tokens(args: argparse.Namespace) -> list[str]:
-    """The flag tokens that the key=value lines of the --config file stand for."""
+def _config_tokens(path: str, flag_keys: frozenset[str]) -> list[str]:
+    """The flag tokens that the key=value lines of a config file stand for."""
     tokens = []
-    for raw in Path(args.config).read_text().splitlines():
+    for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = (part.strip() for part in line.partition("="))
-        if key.replace("-", "_") not in args.flag_keys:
+        if key.replace("-", "_") not in flag_keys:
             raise ValueError(f"unknown config key: {key}")
         flag = "--" + key.replace("_", "-")
         if key not in ("strict", "full"):
@@ -379,11 +375,16 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
+        # --config is found before the full parse, which checks required
+        # flags, so that the file may supply them
+        head = _Parser(add_help=False)
+        head.add_argument("--config")
+        path = head.parse_known_args(argv)[0].config
+        if path and argv[0] in parser.commands:
             # explicit flags follow the config's tokens, so they win
-            at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
+            keys = parser.commands[argv[0]].get_default("flag_keys")
+            argv[1:1] = _config_tokens(path, keys)
+        args = parser.parse_args(argv)
         return args.func(args)
     except OSError as exc:
         print(f"kpr: {exc}", file=sys.stderr)

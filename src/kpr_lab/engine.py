@@ -241,7 +241,7 @@ AMPLITUDE_SIGNIFICANCE = 5.0
 
 
 def detect_convergence(
-    f_series: np.ndarray, strategy: Strategy, config: SimulationConfig
+    f_series: np.ndarray, strategy: Strategy, n: int
 ) -> tuple[int, float, bool]:
     """Estimate the convergence day and saturation value of a utilization series.
 
@@ -283,7 +283,7 @@ def detect_convergence(
     f_s = float(tail.mean())
     sigma = float(tail.std())
 
-    baseline = exact_random_utilization(config.n)
+    baseline = exact_random_utilization(n)
     amplitude = abs(f_s - baseline)
     if amplitude <= AMPLITUDE_SIGNIFICANCE * sigma / np.sqrt(window_len):
         return 0, f_s, True
@@ -329,7 +329,7 @@ def run(config: SimulationConfig) -> RunResult:
             flags.append(state.was_served.copy())
 
     f_series = np.array(f_values)
-    tau, f_s, converged = detect_convergence(f_series, config.strategy, config)
+    tau, f_s, converged = detect_convergence(f_series, config.strategy, config.n)
 
     return RunResult(
         config=config,

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import engine
 from .model import EnsembleSummary, RunSummary, SimulationConfig, check_seed
-from .stats import SweepRow, SweepTable
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -134,27 +133,15 @@ def _row_seed(base_seed: int, config: SimulationConfig) -> int:
     return derive_seed(derive_seed(base_seed, config.n), alpha_bits)
 
 
-def run_sweep(plan: SweepPlan, max_workers: int = 1) -> SweepTable:
-    """One ensemble per sweep value, each seeded from its own parameters."""
-    rows = []
-    for value in plan.values:
-        config = plan.config_for(value)
-        summary = run_ensemble(
+def run_sweep(plan: SweepPlan, max_workers: int = 1) -> tuple[EnsembleSummary, ...]:
+    """One ensemble per sweep value, in plan order, each seeded from its own
+    parameters; row i is what run_ensemble returns for plan.values[i]."""
+    return tuple(
+        run_ensemble(
             config,
             plan.runs_per_value,
             _row_seed(plan.base_seed, config),
             max_workers=max_workers,
         )
-        rows.append(
-            SweepRow(
-                value=value,
-                fs_mean=summary.fs_mean,
-                fs_std=summary.fs_std,
-                tau_mean=summary.tau_mean,
-                tau_std=summary.tau_std,
-                runs=summary.runs,
-                converged_fraction=summary.converged_fraction,
-                dispersion_min_rate_mean=summary.dispersion_min_rate_mean,
-            )
-        )
-    return SweepTable(variable=plan.variable.value, rows=tuple(rows))
+        for config in map(plan.config_for, plan.values)
+    )

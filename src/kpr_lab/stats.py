@@ -4,11 +4,9 @@ and finite-size extrapolation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import RunResult
+from .model import EnsembleSummary, RunResult
 
 
 def exact_random_utilization(n: int) -> float:
@@ -45,41 +43,13 @@ def dispersion_summary(pct: np.ndarray) -> tuple[float, float, float]:
     return lo, hi, hi - lo
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Ensemble statistics for one value of the swept variable."""
-
-    value: float
-    fs_mean: float
-    fs_std: float
-    tau_mean: float
-    tau_std: float
-    runs: int
-    converged_fraction: float
-    dispersion_min_rate_mean: float
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    """Rows of ensemble statistics, sorted by the swept variable."""
-
-    variable: str
-    rows: tuple[SweepRow, ...]
-
-    def __post_init__(self) -> None:
-        values = [row.value for row in self.rows]
-        if sorted(values) != values:
-            raise ValueError("sweep rows must be sorted by value")
-
-
-def estimate_fs_extrapolation(table: SweepTable) -> tuple[float, float]:
-    """Least-squares fit of fs_mean against 1/N; the intercept estimates the
-    infinite-size saturation value.
+def estimate_fs_extrapolation(rows: tuple[EnsembleSummary, ...]) -> tuple[float, float]:
+    """Least-squares fit of fs_mean against 1/N over the rows of an n-sweep;
+    the intercept estimates the infinite-size saturation value.
     """
-    rows = list(table.rows)
     if len(rows) < 3:
         raise ValueError(f"need at least 3 rows to extrapolate, got {len(rows)}")
-    x = np.array([1.0 / row.value for row in rows])
+    x = np.array([1.0 / row.config.n for row in rows])
     y = np.array([row.fs_mean for row in rows])
     if np.ptp(x) == 0:
         raise ValueError("all sweep values are equal; cannot extrapolate")

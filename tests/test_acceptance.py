@@ -112,45 +112,45 @@ def test_02_poisson_crowd_distribution():
 
 
 def test_03_ca_saturation_value(ca_sweep):
-    rows_ok = all(0.78 <= r.fs_mean <= 0.82 for r in ca_sweep.rows)
+    rows_ok = all(0.78 <= r.fs_mean <= 0.82 for r in ca_sweep)
     intercept, _ = estimate_fs_extrapolation(ca_sweep)
     ok = rows_ok and 0.78 <= intercept <= 0.82
-    fs = ", ".join(f"{int(r.value)}:{r.fs_mean:.4f}" for r in ca_sweep.rows)
+    fs = ", ".join(f"{r.config.n}:{r.fs_mean:.4f}" for r in ca_sweep)
     check(3, ok, f"ca f_s rows {{{fs}}}, 1/N intercept={intercept:.4f} (all in [0.78,0.82])")
 
 
 def test_04_ca_convergence_time(ca_sweep):
-    rows = ca_sweep.rows
+    rows = ca_sweep
     rows_ok = all(4.0 <= r.tau_mean <= 10.0 for r in rows)
     flat = abs(rows[-1].tau_mean - rows[0].tau_mean) <= 2.0 * rows[0].tau_std
-    taus = ", ".join(f"{int(r.value)}:{r.tau_mean:.2f}" for r in rows)
+    taus = ", ".join(f"{r.config.n}:{r.tau_mean:.2f}" for r in rows)
     check(
         4,
         rows_ok and flat,
         f"ca tau rows {{{taus}}} (all in [4,10]), "
-        f"|tau({int(rows[-1].value)})-tau({int(rows[0].value)})|="
+        f"|tau({rows[-1].config.n})-tau({rows[0].config.n})|="
         f"{abs(rows[-1].tau_mean - rows[0].tau_mean):.2f} "
         f"<= 2*std={2 * rows[0].tau_std:.2f}: {flat}",
     )
 
 
 def test_05_gca_full_utilization(gca_sweep):
-    ok = all(r.converged_fraction == 1.0 for r in gca_sweep.rows)
+    ok = all(r.converged_fraction == 1.0 for r in gca_sweep)
     conv = ", ".join(
-        f"{int(r.value)}:{r.converged_fraction:.3f}" for r in gca_sweep.rows
+        f"{r.config.n}:{r.converged_fraction:.3f}" for r in gca_sweep
     )
     check(5, ok, f"gca converged fractions within 10N days {{{conv}}} (all 1.0)")
 
 
 def test_06_gca_convergence_scaling(gca_sweep):
-    rows = gca_sweep.rows
-    ratios = [r.tau_mean / r.value for r in rows]
+    rows = gca_sweep
+    ratios = [r.tau_mean / r.config.n for r in rows]
     slope = float(
-        np.polyfit([r.value for r in rows], [r.tau_mean for r in rows], 1)[0]
+        np.polyfit([r.config.n for r in rows], [r.tau_mean for r in rows], 1)[0]
     )
     rows_ok = all(2.2 <= x <= 3.3 for x in ratios)
     ok = rows_ok and 2.2 <= slope <= 3.3
-    detail = ", ".join(f"{int(r.value)}:{x:.2f}" for r, x in zip(rows, ratios))
+    detail = ", ".join(f"{r.config.n}:{x:.2f}" for r, x in zip(rows, ratios))
     check(6, ok, f"gca tau/N rows {{{detail}}}, slope={slope:.2f} (all in [2.2,3.3])")
 
 
@@ -208,8 +208,8 @@ def test_09_small_alpha_scaling():
         base_seed=BASE_SEED,
     )
     table = run_sweep(plan, max_workers=WORKERS)
-    fs = [r.fs_mean for r in table.rows]
-    taus = [r.tau_mean for r in table.rows]
+    fs = [r.fs_mean for r in table]
+    taus = [r.tau_mean for r in table]
     increasing = fs[0] > fs[1] > fs[2]  # rows sorted by alpha ascending
     law_ok = all(abs(f - (1.0 - a)) <= 0.05 for f, a in zip(fs, alphas))
     products = [t * a for t, a in zip(taus, alphas)]

@@ -153,6 +153,32 @@ class TestConfigFile:
         assert rc == 0
         assert "max_days=60" in (out / "summary.txt").read_text().splitlines()
 
+    @pytest.mark.parametrize(
+        "command,lines,written",
+        [
+            ("run", "strategy=ca\nn=30\nmax-days=40\n", "timeseries.csv"),
+            ("sweep", "strategy=ca\nvariable=n\nvalues=20,40\nruns=2\n"
+                      "max-days=40\nthreads=1\n", "sweep.csv"),
+        ],
+        ids=["run", "sweep"],
+    )
+    def test_config_file_supplies_required_flags(self, command, lines, written, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(lines)
+        out = tmp_path / "d"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / written).exists()
+        assert "strategy=ca" in (out / "summary.txt").read_text().splitlines()
+
+    def test_required_flag_missing_from_config_and_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=30\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["kpr: the following arguments are required: --strategy"]
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("seed=4\nmax-days=60\n")
@@ -289,9 +315,10 @@ class TestExitCodes:
             (["run", "--strategy", "ca", "--n", "10", "--bogus", "1"], "0"),
             (["bogus"], "0"),
             (["run", "--strategy", "ca", "--n", "10"], "abc"),
+            (["run", "--strategy", "ca", "--n", "10", "--threads", "2"], "0"),
         ],
         ids=["missing-strategy", "non-integer-n", "unknown-flag",
-             "unknown-subcommand", "non-integer-env-seed"],
+             "unknown-subcommand", "non-integer-env-seed", "threads-on-run"],
     )
     def test_usage_error(self, args, env_seed, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("KPR_SEED", env_seed)
@@ -312,7 +339,8 @@ class TestExitCodes:
             ["sweep", "--strategy", "ca", "--variable", "n", "--values", "20,10"],
             ["sweep", "--strategy", "ca", "--variable", "alpha", "--values", "0.5,1"],
             ["run", "--strategy", "ca", "--n", "10", "--config", "{bogus_cfg}"],
-            ["run", "--strategy", "ca", "--n", "10", "--threads", "0"],
+            ["sweep", "--strategy", "ca", "--variable", "n", "--values", "10,20",
+             "--threads", "0"],
             ["sweep", "--strategy", "ca", "--variable", "n", "--values", "10,20",
              "--threads", "-4"],
             ["run", "--strategy", "ca", "--n", "10", "--alpha", "nan"],
@@ -333,7 +361,7 @@ class TestExitCodes:
         cfg = tmp_path / "bogus.cfg"
         cfg.write_text("bogus=1\n")
         args = [a.format(bogus_cfg=cfg) for a in args]
-        if "--threads" not in args:
+        if args[0] == "sweep" and "--threads" not in args:
             args += ["--threads", "1"]
         with pytest.raises(SystemExit) as exc:
             main(args + ["--out", str(tmp_path / "d")])

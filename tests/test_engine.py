@@ -232,40 +232,35 @@ def test_alpha_does_not_affect_random_strategy():
 
 
 class TestDetectConvergence:
-    def cfg(self, **kwargs):
-        base = {"n": 100, "strategy": CA}
-        base.update(kwargs)
-        return SimulationConfig(**base)
-
     def test_greedy_constant_full_series(self):
-        tau, f_s, converged = detect_convergence(np.ones(30), GCA, self.cfg())
+        tau, f_s, converged = detect_convergence(np.ones(30), GCA, 100)
         assert (tau, f_s, converged) == (0, 1.0, True)
 
     def test_greedy_first_full_day(self):
         series = np.array([0.6, 0.8, 1.0, 1.0])
-        tau, f_s, converged = detect_convergence(series, GCA, self.cfg())
+        tau, f_s, converged = detect_convergence(series, GCA, 100)
         assert (tau, f_s, converged) == (2, 1.0, True)
 
     def test_greedy_unconverged(self):
         series = np.array([0.6, 0.8, 0.9])
-        tau, f_s, converged = detect_convergence(series, GCA, self.cfg())
+        tau, f_s, converged = detect_convergence(series, GCA, 100)
         assert not converged
         assert tau == 3
 
     def test_constant_series_converges_immediately(self):
         series = np.full(100, 0.8)
-        tau, f_s, converged = detect_convergence(series, CA, self.cfg())
+        tau, f_s, converged = detect_convergence(series, CA, 100)
         assert (tau, converged) == (0, True)
         assert f_s == pytest.approx(0.8)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
-            detect_convergence(np.array([]), CA, self.cfg())
+            detect_convergence(np.array([]), CA, 100)
 
     def test_too_short_for_a_tail_window_is_unconverged(self):
         # a one-day tail window: tau = days, f_s = the whole-series mean
         series = np.array([0.5, 0.75])
-        assert detect_convergence(series, CA, self.cfg()) == (2, 0.625, False)
+        assert detect_convergence(series, CA, 100) == (2, 0.625, False)
 
     def test_random_large_n_converges_in_zero_time(self):
         cfg = SimulationConfig(n=6400, strategy=RANDOM, seed=8, max_days=300)

@@ -9,6 +9,7 @@ from kpr_lab.model import SimulationConfig, Strategy
 from kpr_lab.orchestrator import (
     SweepPlan,
     SweepVariable,
+    _row_seed,
     derive_seed,
     run_ensemble,
     run_sweep,
@@ -167,7 +168,7 @@ class TestRunSweep:
         only = run_sweep(
             SweepPlan(base, SweepVariable.N, (40.0,), runs_per_value=4, base_seed=9)
         )
-        assert both.rows[1] == only.rows[0]
+        assert both[1] == only[0]
 
     def test_alpha_row_matches_n_row_for_same_config(self):
         # sweeping alpha over {1.0} at n=60 and sweeping n over {60} at
@@ -179,7 +180,7 @@ class TestRunSweep:
         via_n = run_sweep(
             SweepPlan(base, SweepVariable.N, (60.0,), runs_per_value=5, base_seed=2)
         )
-        a, b = via_alpha.rows[0], via_n.rows[0]
+        a, b = via_alpha[0], via_n[0]
         assert (a.fs_mean, a.fs_std, a.tau_mean, a.tau_std) == (
             b.fs_mean,
             b.fs_std,
@@ -189,9 +190,21 @@ class TestRunSweep:
 
     def test_table_sorted_and_labeled(self):
         base = SimulationConfig(n=10, strategy=GCA)
-        table = run_sweep(
+        rows = run_sweep(
             SweepPlan(base, SweepVariable.N, (10.0, 20.0), runs_per_value=2, base_seed=1)
         )
-        assert table.variable == "n"
-        assert [r.value for r in table.rows] == [10.0, 20.0]
-        assert all(r.runs == 2 for r in table.rows)
+        assert [r.config.n for r in rows] == [10, 20]
+        assert all(r.runs == 2 for r in rows)
+
+    @pytest.mark.parametrize("variable,values", [
+        (SweepVariable.N, (20.0, 40.0)),
+        (SweepVariable.ALPHA, (0.5, 1.0)),
+    ], ids=["n", "alpha"])
+    def test_rows_are_the_ensembles(self, variable, values):
+        base = SimulationConfig(n=30, strategy=CA, max_days=80)
+        plan = SweepPlan(base, variable, values, runs_per_value=3, base_seed=6)
+        rows = run_sweep(plan)
+        assert rows == tuple(
+            run_ensemble(config, 3, _row_seed(6, config))
+            for config in map(plan.config_for, values)
+        )

@@ -7,10 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kpr_lab.engine import run
-from kpr_lab.model import SimulationConfig, Strategy
+from kpr_lab.model import EnsembleSummary, SimulationConfig, Strategy
 from kpr_lab.stats import (
-    SweepRow,
-    SweepTable,
     dispersion_summary,
     estimate_fs_extrapolation,
     exact_random_utilization,
@@ -112,20 +110,19 @@ class TestDispersionSummary:
 
 
 def table_from(values, fs):
-    rows = tuple(
-        SweepRow(
-            value=v,
-            fs_mean=f,
-            fs_std=0.0,
+    return tuple(
+        EnsembleSummary(
+            config=SimulationConfig(n=v, strategy=Strategy.CROWD_AVOIDING),
+            runs=30,
             tau_mean=5.0,
             tau_std=0.0,
-            runs=30,
-            converged_fraction=1.0,
+            fs_mean=f,
+            fs_std=0.0,
             dispersion_min_rate_mean=90.0,
+            converged_fraction=1.0,
         )
         for v, f in zip(values, fs)
     )
-    return SweepTable(variable="n", rows=rows)
 
 
 class TestExtrapolation:
@@ -149,8 +146,3 @@ class TestExtrapolation:
     def test_rejects_degenerate_values(self):
         with pytest.raises(ValueError):
             estimate_fs_extrapolation(table_from([100, 100, 100], [0.8, 0.8, 0.8]))
-
-
-def test_sweep_table_requires_sorted_rows():
-    with pytest.raises(ValueError):
-        table_from([200, 100, 400], [0.8, 0.8, 0.8])
