@@ -303,7 +303,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _threads(text: str) -> int:
+def _count(text: str) -> int:
+    """An int of at least 1, checked at parse time (--runs, --threads)."""
     try:
         count = int(text)
     except ValueError:
@@ -311,6 +312,13 @@ def _threads(text: str) -> int:
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
     return count
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _flag_keys(p: argparse.ArgumentParser) -> frozenset[str]:
@@ -337,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated list")
     p_fig.add_argument("--full", action="store_true")
     for p in (p_sweep, p_fig):
-        p.add_argument("--runs", type=int, default=30)
-        p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
+        p.add_argument("--runs", type=_count, default=30)
+        p.add_argument("--threads", type=_count, default=_usable_cpus())
     for p, func in ((p_run, cmd_run), (p_sweep, cmd_sweep), (p_wl, cmd_worldlines),
                     (p_fig, cmd_figures)):
         p.add_argument("--out", default=".")

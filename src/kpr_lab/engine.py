@@ -28,17 +28,20 @@ import numpy as np
 
 from .model import RunResult, SimulationConfig, Strategy
 from .stats import exact_random_utilization
-from .strategy import sample_choices_vectorized
+from .strategy import Workspace, sample_choices_vectorized
 
 
 @dataclass
 class WorldState:
     """Mutable per-run state, stored as arrays of length n.
 
-    An agent's success count is ``day - losses``.  Greedy days also keep
-    the unserved agents (ascending) and each restaurant's resident, its one
-    served agent (-1 where empty); the first greedy day builds both from
-    the arrays.
+    An agent's success count is ``day - losses``.  Dense (random and
+    crowd-avoiding) days write into the arrays, each a buffer of its own,
+    and into the run's workspace rather than allocating, so the arrays are
+    recycled from day to day: a caller copies what it keeps.  Greedy days keep the unserved agents
+    (ascending) and each restaurant's resident, its one served agent (-1
+    where empty), instead of a workspace; the first greedy day builds both
+    from the arrays.
     """
 
     day: int
@@ -49,6 +52,11 @@ class WorldState:
     crowds: np.ndarray
     unserved: np.ndarray | None = field(default=None, repr=False, compare=False)
     resident: np.ndarray | None = field(default=None, repr=False, compare=False)
+    workspace: Workspace | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.workspace is None:
+            self.workspace = Workspace(len(self.last_restaurant))
 
     @property
     def success_count(self) -> np.ndarray:
@@ -56,32 +64,37 @@ class WorldState:
 
 
 def _service_lottery(
-    choices: np.ndarray, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    state: WorldState, choices: np.ndarray, n: int, rng: np.random.Generator
+) -> None:
     """Tally crowds and pick one served agent per non-empty restaurant.
 
-    Returns (crowds, each agent's crowd, served flags).  A lone arrival is
-    served outright; only contested restaurants (crowd of two or more)
-    consume randomness, one uniform each in ascending restaurant order.
+    Writes the crowds, each agent's crowd and the served flags over
+    yesterday's in ``state``.  A lone arrival is served outright; only
+    contested restaurants (crowd of two or more) consume randomness, one
+    uniform each in ascending restaurant order.
     """
-    crowds = np.bincount(choices, minlength=n)
-    own_crowd = crowds[choices]
-    served = own_crowd == 1
+    crowds, own_crowd, served = state.crowds, state.last_crowd, state.was_served
+    flags = state.workspace.flags
+    # bincount has no out=: its tally is copied and freed at once, before
+    # the lottery makes its own arrays
+    crowds[...] = np.bincount(choices, minlength=n)
+    # the indices are in range, and mode="clip" keeps take from buffering
+    crowds.take(choices, out=own_crowd, mode="clip")
+    np.equal(own_crowd, 1, served)
 
-    contested = (crowds >= 2).nonzero()[0]
+    contested = np.greater_equal(crowds, 2, flags).nonzero()[0]
     if contested.size:
         sizes = crowds[contested]
         u = rng.random(contested.size)
         # u is a multiple of 2**-53 below 1, so u * size rounds to below
         # size: the offset is a member's rank, never past the last member
         offsets = (u * sizes).astype(np.int64)
-        # crowd members grouped by restaurant, ascending, in agent order
-        # within each group
-        members = (~served).nonzero()[0]
-        grouped = members[_stable_order(choices[members], n)]
+        # crowd members in the order that groups them by restaurant,
+        # ascending, in agent order within each group
+        members = np.logical_not(served, flags).nonzero()[0]
+        order = _stable_order(choices[members], n)
         starts = sizes.cumsum() - sizes
-        served[grouped[starts + offsets]] = True
-    return crowds, own_crowd, served
+        served[members[order[starts + offsets]]] = True
 
 
 def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
@@ -103,15 +116,17 @@ def _play_day(
     state: WorldState, choices: np.ndarray, n: int, rng: np.random.Generator
 ) -> float:
     """Run the lottery on today's choices, move the state to today and
-    return today's utilization (occupied restaurants / n)."""
-    crowds, own_crowd, served = _service_lottery(choices, n, rng)
-    state.last_restaurant = choices
-    state.last_crowd = own_crowd
-    state.was_served = served
-    state.losses += ~served
-    state.crowds = crowds
+    return today's utilization (occupied restaurants / n).
+
+    Today's crowds and flags overwrite yesterday's, and yesterday's
+    choices become the workspace's buffer for tomorrow's.
+    """
+    _service_lottery(state, choices, n, rng)
+    work = state.workspace
+    work.choices, state.last_restaurant = state.last_restaurant, choices
+    state.losses += np.logical_not(state.was_served, work.flags)
     state.day += 1
-    return np.count_nonzero(crowds) / n
+    return np.count_nonzero(state.crowds) / n
 
 
 def _greedy_day(
@@ -133,6 +148,7 @@ def _greedy_day(
     """
     n = config.n
     if state.resident is None:
+        state.workspace = None  # greedy days do not use it
         served = state.was_served.nonzero()[0]
         state.resident = np.full(n, -1)
         state.resident[state.last_restaurant[served]] = served
@@ -199,9 +215,10 @@ def init_day_one(
     Returns the state after day 1 and day 1's utilization.
     """
     n = config.n
-    # day 0: nobody has chosen, been crowded or been served yet
-    empty = np.zeros(n, dtype=np.int64)
-    state = WorldState(0, empty, empty, empty.astype(bool), empty.copy(), empty)
+    # day 0: nobody has chosen, been crowded or been served yet; each array
+    # is a buffer of its own, since the days write into them
+    zeros = [np.zeros(n, dtype=np.int64) for _ in range(4)]
+    state = WorldState(0, *zeros[:2], np.zeros(n, dtype=bool), *zeros[2:])
     return state, _play_day(state, rng.integers(0, n, size=n), n, rng)
 
 
@@ -222,6 +239,7 @@ def step_day(
         None,
         config.n,
         rng,
+        state.workspace,
     )
     return _play_day(state, choices, config.n, rng)
 
@@ -356,6 +374,7 @@ def _final_rates(config: SimulationConfig, state: WorldState, tau: int) -> np.nd
     elif rate_day == state.day - 1:
         counts = state.success_count - state.was_served
     else:
+        state.workspace = None  # the replay builds its own
         rng = np.random.default_rng(config.seed)
         replay, _ = init_day_one(config, rng)
         while replay.day < rate_day:

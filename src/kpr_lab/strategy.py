@@ -18,6 +18,26 @@ import numpy as np
 from .model import Strategy
 
 
+class Workspace:
+    """The n-sized buffers of one run's dense (random or crowd-avoiding) day.
+
+    A dense day writes into these instead of allocating: from n ~ 16k on, a
+    fresh n-sized 8-byte array lies above malloc's mmap and trim thresholds,
+    so it would go back to the kernel at the end of each day and be faulted
+    in again the next.  ``choices`` trades places with the state's
+    ``last_restaurant`` every day.  A workspace belongs to one run: runs
+    stepped side by side each need their own.
+    """
+
+    __slots__ = ("uniforms", "p_stay", "flags", "choices")
+
+    def __init__(self, n: int) -> None:
+        self.uniforms = np.empty(n)
+        self.p_stay = np.empty(n)
+        self.flags = np.empty(n, dtype=bool)
+        self.choices = np.empty(n, dtype=np.int64)
+
+
 def sample_choices_vectorized(
     strategy: Strategy,
     alpha: float,
@@ -26,6 +46,7 @@ def sample_choices_vectorized(
     agents: np.ndarray | None,
     n: int,
     rng: np.random.Generator,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Sample one day's choices in a single vectorized pass.
 
@@ -41,16 +62,25 @@ def sample_choices_vectorized(
     ``last_restaurant`` and ``last_crowd`` hold their rows and ``agents``
     their ascending indices.  A served greedy agent always stays, so its
     uniform is jumped over rather than read (see :func:`uniforms_at`).
+
+    A crowd-avoiding day works in ``workspace`` (a fresh one if none is
+    given) and returns ``workspace.choices``; the inputs are not written.
     """
     if strategy is Strategy.RANDOM:
         return rng.integers(0, n, size=n)
     if strategy is Strategy.CROWD_AVOIDING:
-        p_stay = last_crowd.astype(np.float64) ** -alpha
-        leave = rng.random(n) >= p_stay
+        work = workspace or Workspace(n)
+        p_stay = work.p_stay
+        p_stay[...] = last_crowd
+        # in place, ** keeps numpy's fast paths (a reciprocal at alpha = 1)
+        p_stay **= -alpha
+        leave = np.greater_equal(rng.random(out=work.uniforms), p_stay, work.flags)
+        choices = work.choices
+        choices[...] = last_restaurant
     else:
         p_stay = 1.0 / last_crowd
         leave = uniforms_at(rng, agents, n) >= p_stay
-    choices = last_restaurant.copy()
+        choices = last_restaurant.copy()
     movers = leave.nonzero()[0]
     if movers.size:
         other = rng.integers(0, n - 1, size=movers.size)

@@ -1,4 +1,5 @@
 import argparse
+import os
 import re
 from pathlib import Path
 
@@ -351,11 +352,16 @@ class TestExitCodes:
              "--seed", "-1"],
             ["sweep", "--strategy", "ca", "--variable", "n", "--values", "10,20",
              "--seed", str(2**64)],
+            ["sweep", "--strategy", "ca", "--variable", "n", "--values", "10,20",
+             "--runs", "0"],
+            # rejected while parsing, before fig1's run writes its directory
+            ["figures", "--runs", "0"],
         ],
         ids=["n-zero", "negative-alpha", "negative-seed", "non-numeric-value",
              "decreasing-values", "alpha-sweep-without-n", "unknown-config-key",
              "zero-threads", "negative-threads", "nan-alpha", "inf-alpha",
-             "nan-sweep-value", "sweep-negative-seed", "sweep-seed-above-64-bits"],
+             "nan-sweep-value", "sweep-negative-seed", "sweep-seed-above-64-bits",
+             "sweep-zero-runs", "figures-zero-runs"],
     )
     def test_invalid_value_is_a_usage_error(self, args, tmp_path, capsys):
         cfg = tmp_path / "bogus.cfg"
@@ -386,6 +392,19 @@ class TestExitCodes:
         rc = main(["run", "--strategy", "gca", "--n", "50", "--max-days", "2",
                    "--out", str(tmp_path / "d")])
         assert rc == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--strategy", "ca", "--variable", "n", "--values", "10"],
+    ["figures"],
+])
+def test_default_threads_are_the_cpus_this_process_may_use(command, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert cli.build_parser().parse_args(command).threads == 3
+    # where the platform has no affinity mask, every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert cli.build_parser().parse_args(command).threads == 7
 
 
 def test_figures_smoke(tmp_path, monkeypatch):
