@@ -13,12 +13,13 @@ instead measures minor page faults per simulated day of one crowd-avoiding
 Usage, from the root of the changed checkout:
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --workloads ca-large,ca-sweep-small --seeds 11-20 --seconds 25 \\
-        --out BENCH_11.json
+        --workloads ca-large,ca-sweep-small --seeds 11-20 --out BENCH_11.json
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --faults 1600,6400,25600,51200 --out BENCH_11.json
 
 Each call adds its sections to ``--out`` and keeps those already there.
+Every perfbench run lasts RUN_SECONDS, the benchmark's own run length, and
+the faults table takes FAULT_REPEATS processes per side and N.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from importlib.metadata import version
 from pathlib import Path
 
 SIDES = ("parent", "change")
+RUN_SECONDS = 25.0
+FAULT_REPEATS = 3
 RUN_TIMEOUT_S = 400
 
 # One crowd-avoiding run after a warm-up run at N = 1600 (as ca-large warms
@@ -67,11 +70,11 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
-def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_perfbench(checkout: Path, workload: str, seed: int) -> dict:
     """One untraced perfbench run: its record and result lines."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(RUN_SECONDS), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
     )
     entry: dict = {"returncode": proc.returncode}
@@ -89,7 +92,13 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> d
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Quartiles, won pairs and the gain rule per metric; failures and digests."""
+    """Quartiles, won pairs and the gain rule per metric; failures and digests.
+
+    A run that did not finish counts as a failed run of its side and as a
+    pair the change did not win.  The gain rule needs the change to win
+    nine tenths of all pairs run and to fail no more than the parent: no
+    more failed runs and no larger share of failed operations.
+    """
     complete = [p for p in pairs if all("result" in p[side] for side in SIDES)]
     summary: dict = {
         "seeds": [p["seed"] for p in pairs],
@@ -97,13 +106,22 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         "complete_pairs": len(complete),
     }
     for side in SIDES:
-        results = [p[side]["result"] for p in complete]
+        results = [p[side]["result"] for p in pairs if "result" in p[side]]
+        summary[f"{side}_failed_runs"] = len(pairs) - len(results)
         summary[f"{side}_failed_ops"] = sum(r["failed"] for r in results)
         summary[f"{side}_attempted_ops"] = sum(r["attempted"] for r in results)
+    failed = {side: summary[f"{side}_failed_ops"] for side in SIDES}
+    attempted = {side: max(summary[f"{side}_attempted_ops"], 1) for side in SIDES}
+    fails_no_more = (
+        summary["change_failed_runs"] <= summary["parent_failed_runs"]
+        and failed["change"] * attempted["parent"] <= failed["parent"] * attempted["change"]
+    )
     summary["digests_equal_per_seed"] = {
         str(p["seed"]): p["parent"]["record"]["digests"] == p["change"]["record"]["digests"]
         for p in complete
     }
+    if len(complete) < 2:  # no quartiles to compare
+        return summary
     for metric, direction in better.items():
         values = {
             side: [p[side]["result"]["metrics"][metric]["value"] for p in complete]
@@ -115,22 +133,23 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         summary[metric] = {
             "parent": parent,
             "change": change,
-            "change_better_pairs": f"{won}/{len(complete)}",
+            "change_better_pairs": f"{won}/{len(pairs)}",
             # a gain: won in 9/10 of the pairs, by more than the parent's IQR
-            "gain_rule_met": 10 * won >= 9 * len(complete)
+            "gain_rule_met": fails_no_more
+            and 10 * won >= 9 * len(pairs)
             and sign * (change["median"] - parent["median"]) > parent["q3"] - parent["q1"],
         }
     return summary
 
 
 def bench_workload(checkouts: dict[str, Path], workload: str, seeds: list[int],
-                   seconds: float, better: dict[str, str]) -> tuple[dict, list[dict]]:
+                   better: dict[str, str]) -> tuple[dict, list[dict]]:
     pairs = []
     for index, seed in enumerate(seeds):
         order = SIDES if index % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_perfbench(checkouts[side], workload, seed, seconds)
+            pair[side] = run_perfbench(checkouts[side], workload, seed)
             metrics = pair[side].get("result", {}).get("metrics", {})
             wall = metrics.get("wall_s", {}).get("value")
             print(f"{workload} seed {seed} {side}: wall_s {wall}", file=sys.stderr)
@@ -138,12 +157,12 @@ def bench_workload(checkouts: dict[str, Path], workload: str, seeds: list[int],
     return summarize(pairs, better), pairs
 
 
-def measure_faults(checkouts: dict[str, Path], sizes: list[int], repeats: int) -> dict:
+def measure_faults(checkouts: dict[str, Path], sizes: list[int]) -> dict:
     """Median minor faults per day and run seconds per side and N."""
     table: dict = {}
     for n in sizes:
         samples: dict[str, list[tuple[float, float]]] = {side: [] for side in SIDES}
-        for index in range(repeats):
+        for index in range(FAULT_REPEATS):
             for side in SIDES if index % 2 == 0 else SIDES[::-1]:
                 env = dict(os.environ, PYTHONPATH=str(checkouts[side] / "src"))
                 out = subprocess.run(
@@ -171,9 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workloads", help="comma-separated perfbench workloads")
     parser.add_argument("--seeds", type=seed_list, default=seed_list("11-20"))
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--faults", help="comma-separated N for the faults table")
-    parser.add_argument("--repeats", type=int, default=3, help="fresh processes per N")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -188,14 +205,14 @@ def main(argv: list[str] | None = None) -> int:
         f"{os.cpu_count()} CPUs, {platform.machine()}, Python "
         f"{platform.python_version()}, numpy {version('numpy')}"
     )
-    report["command"] = "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0"
+    report["command"] = (
+        f"python3 perfbench/run.py --workload W --seed S --seconds {RUN_SECONDS} --trace 0"
+    )
     if args.workloads:
         spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         for workload in args.workloads.split(","):
-            summary, pairs = bench_workload(checkouts, workload, args.seeds,
-                                            args.seconds, better)
-            summary["seconds"] = args.seconds
+            summary, pairs = bench_workload(checkouts, workload, args.seeds, better)
             report.setdefault("summary", {})[workload] = summary
             report.setdefault("runs", {})[workload] = pairs
             args.out.write_text(json.dumps(report, indent=1) + "\n")
@@ -205,10 +222,10 @@ def main(argv: list[str] | None = None) -> int:
             "about": (
                 "minor page faults (ru_minflt) per simulated day of one "
                 "crowd-avoiding engine.run (seed 3, 1000 days) after a warm-up "
-                f"run at N = 1600, in a fresh process per side and N, {args.repeats} "
+                f"run at N = 1600, in a fresh process per side and N, {FAULT_REPEATS} "
                 "processes per side, alternating which side goes first"
             ),
-            "by_n": measure_faults(checkouts, sizes, args.repeats),
+            "by_n": measure_faults(checkouts, sizes),
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

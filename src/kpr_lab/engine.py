@@ -38,9 +38,9 @@ class WorldState:
     An agent's success count is ``day - losses``.  Dense (random and
     crowd-avoiding) days write into the arrays, each a buffer of its own,
     and into the run's workspace rather than allocating, so the arrays are
-    recycled from day to day: a caller copies what it keeps.  Greedy days keep the unserved agents
-    (ascending) and each restaurant's resident, its one served agent (-1
-    where empty), instead of a workspace; the first greedy day builds both
+    recycled from day to day: a caller copies what it keeps.  Greedy days
+    keep the unserved agents (ascending) and each restaurant's resident,
+    its one served agent (-1 where empty); the first greedy day builds both
     from the arrays.
     """
 
@@ -50,13 +50,9 @@ class WorldState:
     was_served: np.ndarray
     losses: np.ndarray
     crowds: np.ndarray
+    workspace: Workspace = field(repr=False, compare=False)
     unserved: np.ndarray | None = field(default=None, repr=False, compare=False)
     resident: np.ndarray | None = field(default=None, repr=False, compare=False)
-    workspace: Workspace | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.workspace is None:
-            self.workspace = Workspace(len(self.last_restaurant))
 
     @property
     def success_count(self) -> np.ndarray:
@@ -148,7 +144,6 @@ def _greedy_day(
     """
     n = config.n
     if state.resident is None:
-        state.workspace = None  # greedy days do not use it
         served = state.was_served.nonzero()[0]
         state.resident = np.full(n, -1)
         state.resident[state.last_restaurant[served]] = served
@@ -218,7 +213,9 @@ def init_day_one(
     # day 0: nobody has chosen, been crowded or been served yet; each array
     # is a buffer of its own, since the days write into them
     zeros = [np.zeros(n, dtype=np.int64) for _ in range(4)]
-    state = WorldState(0, *zeros[:2], np.zeros(n, dtype=bool), *zeros[2:])
+    state = WorldState(
+        0, *zeros[:2], np.zeros(n, dtype=bool), *zeros[2:], Workspace(n, config.strategy)
+    )
     return state, _play_day(state, rng.integers(0, n, size=n), n, rng)
 
 
@@ -374,7 +371,6 @@ def _final_rates(config: SimulationConfig, state: WorldState, tau: int) -> np.nd
     elif rate_day == state.day - 1:
         counts = state.success_count - state.was_served
     else:
-        state.workspace = None  # the replay builds its own
         rng = np.random.default_rng(config.seed)
         replay, _ = init_day_one(config, rng)
         while replay.day < rate_day:

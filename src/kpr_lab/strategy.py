@@ -19,23 +19,27 @@ from .model import Strategy
 
 
 class Workspace:
-    """The n-sized buffers of one run's dense (random or crowd-avoiding) day.
+    """The n-sized buffers one run's dense days write into.
 
-    A dense day writes into these instead of allocating: from n ~ 16k on, a
-    fresh n-sized 8-byte array lies above malloc's mmap and trim thresholds,
-    so it would go back to the kernel at the end of each day and be faulted
-    in again the next.  ``choices`` trades places with the state's
-    ``last_restaurant`` every day.  A workspace belongs to one run: runs
-    stepped side by side each need their own.
+    A dense (random or crowd-avoiding) day writes into these instead of
+    allocating: from n ~ 16k on, a fresh n-sized 8-byte array lies above
+    malloc's mmap and trim thresholds, so it would go back to the kernel at
+    the end of each day and be faulted in again the next.  Every dense day,
+    day 1 of any run included, uses ``flags`` as the lottery's bool scratch
+    and trades ``choices`` for the state's ``last_restaurant``.  Only a
+    crowd-avoiding run draws into ``uniforms`` and ``p_stay``; other runs
+    leave them None.  A workspace belongs to one run: runs stepped side by
+    side each need their own.
     """
 
-    __slots__ = ("uniforms", "p_stay", "flags", "choices")
+    __slots__ = ("flags", "choices", "uniforms", "p_stay")
 
-    def __init__(self, n: int) -> None:
-        self.uniforms = np.empty(n)
-        self.p_stay = np.empty(n)
+    def __init__(self, n: int, strategy: Strategy) -> None:
         self.flags = np.empty(n, dtype=bool)
         self.choices = np.empty(n, dtype=np.int64)
+        crowd_avoiding = strategy is Strategy.CROWD_AVOIDING
+        self.uniforms = np.empty(n) if crowd_avoiding else None
+        self.p_stay = np.empty(n) if crowd_avoiding else None
 
 
 def sample_choices_vectorized(
@@ -63,19 +67,20 @@ def sample_choices_vectorized(
     their ascending indices.  A served greedy agent always stays, so its
     uniform is jumped over rather than read (see :func:`uniforms_at`).
 
-    A crowd-avoiding day works in ``workspace`` (a fresh one if none is
-    given) and returns ``workspace.choices``; the inputs are not written.
+    A crowd-avoiding day needs the run's ``workspace``: it works in it and
+    returns ``workspace.choices``; the inputs are not written.  The other
+    strategies ignore it.
     """
     if strategy is Strategy.RANDOM:
         return rng.integers(0, n, size=n)
     if strategy is Strategy.CROWD_AVOIDING:
-        work = workspace or Workspace(n)
-        p_stay = work.p_stay
+        p_stay = workspace.p_stay
         p_stay[...] = last_crowd
         # in place, ** keeps numpy's fast paths (a reciprocal at alpha = 1)
         p_stay **= -alpha
-        leave = np.greater_equal(rng.random(out=work.uniforms), p_stay, work.flags)
-        choices = work.choices
+        uniforms = rng.random(out=workspace.uniforms)
+        leave = np.greater_equal(uniforms, p_stay, workspace.flags)
+        choices = workspace.choices
         choices[...] = last_restaurant
     else:
         p_stay = 1.0 / last_crowd

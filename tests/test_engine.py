@@ -17,6 +17,7 @@ from kpr_lab.engine import (
     step_day,
 )
 from kpr_lab.model import SimulationConfig, Strategy
+from kpr_lab.strategy import Workspace
 
 CA = Strategy.CROWD_AVOIDING
 GCA = Strategy.GREEDY_CROWD_AVOIDING
@@ -105,6 +106,7 @@ def test_crowd_avoiding_fixed_point_when_all_alone():
         was_served=np.ones(n, dtype=bool),
         losses=np.zeros(n, dtype=np.int64),
         crowds=np.ones(n, dtype=np.int64),
+        workspace=Workspace(n, CA),
     )
     cfg = SimulationConfig(n=n, strategy=CA)
     f = step_day(state, cfg, np.random.default_rng(0))
@@ -184,7 +186,8 @@ def dense_greedy_day(
         grouped = members[np.argsort(choices[members], kind="stable")]
         served[grouped[np.cumsum(sizes) - sizes + offsets]] = True
     after = WorldState(
-        state.day + 1, choices, crowds[choices], served, state.losses + ~served, crowds
+        state.day + 1, choices, crowds[choices], served, state.losses + ~served, crowds,
+        state.workspace,
     )
     return after, np.count_nonzero(crowds) / n
 
