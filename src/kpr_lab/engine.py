@@ -50,7 +50,7 @@ class WorldState:
     was_served: np.ndarray
     losses: np.ndarray
     crowds: np.ndarray
-    workspace: Workspace = field(repr=False, compare=False)
+    workspace: Workspace | None = field(repr=False, compare=False)
     unserved: np.ndarray | None = field(default=None, repr=False, compare=False)
     resident: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -371,6 +371,9 @@ def _final_rates(config: SimulationConfig, state: WorldState, tau: int) -> np.nd
     elif rate_day == state.day - 1:
         counts = state.success_count - state.was_served
     else:
+        # the run plays no more days: freed before the replay makes its
+        # own, the run's workspace does not add to the peak memory
+        state.workspace = None
         rng = np.random.default_rng(config.seed)
         replay, _ = init_day_one(config, rng)
         while replay.day < rate_day:
