@@ -26,6 +26,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import engine, stats
@@ -48,26 +49,35 @@ def fnum(x: float) -> str:
     """Decimal notation, six significant digits, no exponent form.
 
     Canonical (parse -> re-format is the identity), which keeps emitted CSV
-    files byte-stable under round-trips.
+    files byte-stable under round-trips.  When rounding carries into the next
+    decade the text holds seven significant digits (9.9999996 -> "10.00000"),
+    so one decimal is dropped ("10.0000"), or the point when it was the last
+    one (99999.95 -> "100000").
     """
     x = float(x)
     if not math.isfinite(x):
         return str(x)  # nan, inf or -inf, which float() reads back
-    for _ in range(2):  # second pass re-anchors when rounding crosses a decade
-        if x == 0.0:
-            return "0.000000"
-        decimals = max(0, 5 - math.floor(math.log10(abs(x))))
-        text = f"{x:.{decimals}f}"
-        if float(text) == x:
-            return text
+    if x == 0.0:
+        return "0.000000"
+    decimals = max(0, 5 - math.floor(math.log10(abs(x))))
+    text = f"{x:.{decimals}f}"
+    if abs(x) < sys.float_info.min:
+        # a subnormal has too few bits for its six digits to parse back to it:
+        # print the float they parse to instead
         x = float(text)
+        decimals = max(0, 5 - math.floor(math.log10(abs(x))))
+        return f"{x:.{decimals}f}"
+    if decimals and len(text.lstrip("-0.").replace(".", "")) > 6:
+        return text[:-2] if decimals == 1 else text[:-1]
     return text
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
+def _write_blocks(path: Path, blocks: Iterable[list[str]]) -> None:
+    """Write each block of lines as soon as it is made, LF after every line."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for lines in blocks:
+            fh.write("\n".join(lines) + "\n")
 
 
 def write_timeseries(path: Path, result) -> None:
@@ -75,7 +85,7 @@ def write_timeseries(path: Path, result) -> None:
     lines = ["t,f,served_count"]
     for t, f in enumerate(result.f_series, start=1):
         lines.append(f"{t},{fnum(f)},{int(round(f * n))}")
-    _write_lines(path, lines)
+    _write_blocks(path, [lines])
 
 
 def write_sweep(path: Path, variable: SweepVariable, rows) -> None:
@@ -87,16 +97,21 @@ def write_sweep(path: Path, variable: SweepVariable, rows) -> None:
             f"{fnum(row.tau_mean)},{fnum(row.tau_std)},{row.runs},"
             f"{fnum(row.converged_fraction)}"
         )
-    _write_lines(path, lines)
+    _write_blocks(path, [lines])
 
 
 def write_worldlines(path: Path, pct) -> None:
-    """Agent-major rows of a (days, n) world-line matrix."""
-    out = ["agent_id,t,cumulative_success_pct"]
-    for agent in range(pct.shape[1]):
-        for day, value in enumerate(pct[:, agent].tolist(), start=1):
-            out.append(f"{agent},{day},{fnum(value)}")
-    _write_lines(path, out)
+    """Agent-major rows of a (days, n) world-line matrix, one agent at a time."""
+
+    def blocks():
+        yield ["agent_id,t,cumulative_success_pct"]
+        for agent in range(pct.shape[1]):
+            yield [
+                f"{agent},{day},{fnum(value)}"
+                for day, value in enumerate(pct[:, agent].tolist(), start=1)
+            ]
+
+    _write_blocks(path, blocks())
 
 
 def write_summary(path: Path, entries: list[tuple[str, object]]) -> None:
@@ -107,7 +122,7 @@ def write_summary(path: Path, entries: list[tuple[str, object]]) -> None:
         elif isinstance(value, float):
             value = fnum(value)
         lines.append(f"{key}={value}")
-    _write_lines(path, lines)
+    _write_blocks(path, [lines])
 
 
 def _run(args, command: str, record_history: bool = False):
@@ -291,7 +306,7 @@ def cmd_figures(args) -> int:
             max_workers=workers,
         )
         lines.append(f"{n},{fnum(summary.dispersion_min_rate_mean)},{summary.runs}")
-    _write_lines(out / "fig6" / "dispersion.csv", lines)
+    _write_blocks(out / "fig6" / "dispersion.csv", [lines])
     return status
 
 

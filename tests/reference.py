@@ -1,12 +1,14 @@
-"""Scalar reference path: one agent's choice rule, written out plainly.
+"""Reference paths, written out plainly, that the package's tests compare against.
 
 The package samples a whole day at once (strategy.sample_choices_vectorized);
-these per-agent functions state the same rule one agent at a time and are
-the oracle its tests compare against.
+the per-agent functions here state the same rule one agent at a time.
+``reference_fnum`` is the number format as two format-and-parse passes, the
+oracle for the one-pass ``cli.fnum``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,3 +68,24 @@ def sample_choice(
     if other >= agent.last_restaurant:
         other += 1
     return other
+
+
+def reference_fnum(x: float) -> str:
+    """Decimal notation, six significant digits, no exponent form.
+
+    A second pass re-anchors the digits on the parsed first text when that
+    text does not read back as x, which changes it only when rounding carried
+    into the next decade or x is subnormal.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        return str(x)  # nan, inf or -inf, which float() reads back
+    for _ in range(2):  # second pass re-anchors when rounding crosses a decade
+        if x == 0.0:
+            return "0.000000"
+        decimals = max(0, 5 - math.floor(math.log10(abs(x))))
+        text = f"{x:.{decimals}f}"
+        if float(text) == x:
+            return text
+        x = float(text)
+    return text

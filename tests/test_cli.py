@@ -1,10 +1,14 @@
 import argparse
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from reference import reference_fnum
 
 from kpr_lab import cli
 from kpr_lab.cli import fnum, main
@@ -43,6 +47,18 @@ class TestNumberFormat:
     def test_non_finite_values_round_trip(self, value, expected):
         assert fnum(value) == expected
         assert fnum(float(fnum(value))) == expected
+
+    @given(st.floats())
+    @example(9.9999996)  # carries into the next decade: 10.0000
+    @example(99999.95)  # carries with one decimal left: 100000
+    @example(0.0099999996)
+    @example(-9.9999996)
+    @example(999999.5)  # no decimals, nothing to drop
+    @example(5e-324)
+    @example(1.000004e-318)  # subnormal whose six digits parse a decade lower
+    @example(1.7976931348623157e308)
+    def test_matches_the_two_pass_reference(self, value):
+        assert fnum(value) == reference_fnum(value)
 
 
 class TestRunCommand:
@@ -305,6 +321,25 @@ class TestWorldlinesCommand:
             agent, t, pct = line.split(",")
             rebuilt.append(f"{int(agent)},{int(t)},{fnum(float(pct))}")
         assert "\n".join(rebuilt) + "\n" == raw
+
+
+def _write_peak_bytes(path, days, n):
+    """tracemalloc peak of write_worldlines on a (days, n) matrix made beforehand."""
+    successes = np.random.default_rng(0).random((days, n)) < 0.6
+    pct = 100.0 * np.cumsum(successes, axis=0) / np.arange(1, days + 1)[:, None]
+    tracemalloc.start()
+    try:
+        cli.write_worldlines(path, pct)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_worldline_rows_stream_one_agent_at_a_time(tmp_path):
+    small = _write_peak_bytes(tmp_path / "small.csv", 400, 100)
+    large = _write_peak_bytes(tmp_path / "large.csv", 400, 1600)
+    assert large < 1_000_000
+    assert large < 2 * small
 
 
 class TestExitCodes:
