@@ -57,11 +57,17 @@ print(faults / result.days, wall)
 
 
 def seed_list(text: str) -> list[int]:
-    """``11-20`` or ``1,3,5`` (or a mix) as a list of ints."""
+    """``11-20`` or ``1,3,5`` (or a mix) as a list of ints.
+
+    A descending range such as ``20-11`` would run no pair, so it is an error.
+    """
     seeds = []
     for part in text.split(","):
         low, _, high = part.partition("-")
-        seeds.extend(range(int(low), int(high or low) + 1))
+        low, high = int(low), int(high or low)
+        if high < low:
+            raise argparse.ArgumentTypeError(f"descending seed range {part!r}")
+        seeds.extend(range(low, high + 1))
     return seeds
 
 
@@ -71,12 +77,18 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced perfbench run: its record and result lines."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(RUN_SECONDS), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
-    )
+    """One untraced perfbench run: its record and result lines.
+
+    A run that outlasts RUN_TIMEOUT_S is killed and kept as a failed run.
+    """
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(RUN_SECONDS), "--trace", "0"],
+            cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return {"returncode": None, "stderr": [f"timed out after {RUN_TIMEOUT_S} s"]}
     entry: dict = {"returncode": proc.returncode}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode == 0 and len(lines) >= 2:

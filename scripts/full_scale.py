@@ -15,19 +15,27 @@ import time
 import numpy as np
 
 from kpr_lab.engine import run
-from kpr_lab.model import SimulationConfig, Strategy
+from kpr_lab.model import SimulationConfig, Strategy, check_seed
 from kpr_lab.orchestrator import derive_seed
 
 N_FULL = 51200
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--ca", action="store_true",
                         help="also run the crowd-avoiding row at N=51200")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    # exit 2 with one line, before any run: derive_seed would alias a negative
+    # seed to one modulo 2**64
+    if args.runs < 1:
+        parser.exit(2, f"full_scale.py: --runs must be >= 1, got {args.runs}\n")
+    try:
+        check_seed(args.seed)
+    except ValueError as exc:
+        parser.exit(2, f"full_scale.py: --seed: {exc}\n")
 
     taus = []
     for i in range(args.runs):

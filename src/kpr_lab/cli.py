@@ -52,9 +52,16 @@ def fnum(x: float) -> str:
     files byte-stable under round-trips.  When rounding carries into the next
     decade the text holds seven significant digits (9.9999996 -> "10.00000"),
     so one decimal is dropped ("10.0000"), or the point when it was the last
-    one (99999.95 -> "100000").
+    one (99999.96 -> "100000").
+
+    When 1e-4 <= |x| < 99999.95, the six rounded digits have a decimal
+    exponent from -4 to 4, where ``format(x, "#.6g")`` writes them in fixed
+    point.  It rounds before it picks the exponent and keeps trailing zeros,
+    so it already gives the text above, carries included, in one call.
     """
     x = float(x)
+    if 1e-4 <= abs(x) < 99999.95:
+        return format(x, "#.6g")
     if not math.isfinite(x):
         return str(x)  # nan, inf or -inf, which float() reads back
     if x == 0.0:
@@ -103,12 +110,15 @@ def write_sweep(path: Path, variable: SweepVariable, rows) -> None:
 def write_worldlines(path: Path, pct) -> None:
     """Agent-major rows of a (days, n) world-line matrix, one agent at a time."""
 
+    days = [f",{day}," for day in range(1, pct.shape[0] + 1)]
+
     def blocks():
         yield ["agent_id,t,cumulative_success_pct"]
         for agent in range(pct.shape[1]):
+            prefix = str(agent)
             yield [
-                f"{agent},{day},{fnum(value)}"
-                for day, value in enumerate(pct[:, agent].tolist(), start=1)
+                f"{prefix}{day}{fnum(value)}"
+                for day, value in zip(days, pct[:, agent].tolist())
             ]
 
     _write_blocks(path, blocks())

@@ -49,3 +49,25 @@ def test_failed_operations_beyond_the_parents_forbid_a_gain(failed):
     summary = bench_pairs.summarize(pairs_with(sides), BETTER)
     assert summary["change_failed_ops"] == failed
     assert summary["wall_s"]["gain_rule_met"] is (failed == 0)
+
+
+def test_a_timed_out_run_is_a_failed_run(monkeypatch):
+    def hang(cmd, **kwargs):
+        raise bench_pairs.subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", hang)
+    timed_out = bench_pairs.run_perfbench(Path("."), "gca-run", 11)
+    assert "result" not in timed_out
+    summary = bench_pairs.summarize(pairs_with([finished(1.0)] * 9 + [timed_out]), BETTER)
+    assert summary["change_failed_runs"] == 1
+    assert not summary["wall_s"]["gain_rule_met"]
+
+
+def test_seed_ranges(tmp_path, capsys):
+    assert bench_pairs.seed_list("11-13,5,7-7") == [11, 12, 13, 5, 7]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", ".", "--change", ".", "--seeds", "20-11",
+                          "--out", str(tmp_path / "bench.json")])
+    assert exit_info.value.code == 2
+    assert "descending seed range '20-11'" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()

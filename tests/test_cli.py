@@ -1,4 +1,5 @@
 import argparse
+import math
 import os
 import re
 import tracemalloc
@@ -50,15 +51,37 @@ class TestNumberFormat:
 
     @given(st.floats())
     @example(9.9999996)  # carries into the next decade: 10.0000
-    @example(99999.95)  # carries with one decimal left: 100000
+    @example(99999.96)  # carries with one decimal left: 100000
     @example(0.0099999996)
     @example(-9.9999996)
     @example(999999.5)  # no decimals, nothing to drop
     @example(5e-324)
     @example(1.000004e-318)  # subnormal whose six digits parse a decade lower
     @example(1.7976931348623157e308)
+    # the fast path's bounds: "#.6g" is exact for 1e-4 <= |x| < 99999.95
+    @example(1e-4)
+    @example(math.nextafter(1e-4, 0))
+    @example(0.000099999996)  # carries up into the fast range: 0.000100000
+    @example(9.99e-5)  # "#.6g" would switch to exponent form
+    @example(99999.95)  # the float lies below 99999.95 and prints 99999.9
+    @example(math.nextafter(99999.95, 0))
+    @example(math.nextafter(99999.95, math.inf))  # "#.6g" would print "100000."
+    @example(99999.949)
+    @example(123456.0)  # "#.6g" would keep a trailing point
+    @example(-1e-4)
+    @example(-math.nextafter(1e-4, 0))
+    @example(-0.000099999996)
+    @example(-99999.95)
+    @example(-math.nextafter(99999.95, 0))
+    @example(-99999.949)
     def test_matches_the_two_pass_reference(self, value):
         assert fnum(value) == reference_fnum(value)
+
+    def test_every_world_line_value_matches_the_reference(self):
+        for t in range(1, 501):
+            for c in range(t + 1):
+                value = 100.0 * c / t
+                assert fnum(value) == reference_fnum(value), (c, t)
 
 
 class TestRunCommand:
