@@ -205,6 +205,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--faults", help="comma-separated N for the faults table")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if not (args.workloads or args.faults):
+        parser.error("nothing to measure: give --workloads, --faults or both")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report = json.loads(args.out.read_text()) if args.out.exists() else {}

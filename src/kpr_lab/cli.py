@@ -246,7 +246,7 @@ def cmd_figures(args) -> int:
     out = Path(args.out)
     workers = args.threads
     sweep_ns = FIGURE_FULL_SWEEP_NS if args.full else FIGURE_SWEEP_NS
-    status = EXIT_OK
+    converged = True  # every run made here, for --strict
 
     # fig1/fig2 (crowd-avoiding) and fig3/fig4 (greedy): a typical run at
     # n = 1600 and the n-sweep behind the saturation-value, convergence-time
@@ -255,8 +255,9 @@ def cmd_figures(args) -> int:
         (Strategy.CROWD_AVOIDING, "fig1", "fig2"),
         (Strategy.GREEDY_CROWD_AVOIDING, "fig3", "fig4"),
     ):
-        typical = SimulationConfig(n=1600, strategy=strategy, seed=FIGURE_SEEDS[run_fig])
-        write_timeseries(out / run_fig / "timeseries.csv", engine.run(typical))
+        config = SimulationConfig(n=1600, strategy=strategy, seed=FIGURE_SEEDS[run_fig])
+        typical = engine.run(config)
+        write_timeseries(out / run_fig / "timeseries.csv", typical)
         plan = SweepPlan(
             base_config=SimulationConfig(n=100, strategy=strategy),
             variable=SweepVariable.N,
@@ -266,9 +267,8 @@ def cmd_figures(args) -> int:
         )
         rows = run_sweep(plan, max_workers=workers)
         write_sweep(out / sweep_fig / "sweep.csv", SweepVariable.N, rows)
-        if strategy is Strategy.GREEDY_CROWD_AVOIDING:
-            status = _status(args, all(r.converged_fraction == 1.0 for r in rows))
-        else:
+        converged &= typical.converged and all(r.converged_fraction == 1.0 for r in rows)
+        if strategy is Strategy.CROWD_AVOIDING:
             intercept, slope = stats.estimate_fs_extrapolation(rows)
             write_sweep(out / run_fig / "sweep.csv", SweepVariable.N, rows)
             write_summary(
@@ -291,6 +291,7 @@ def cmd_figures(args) -> int:
         record_history=True,
     )
     result = engine.run(wl_config)
+    converged &= result.converged
     pct = stats.world_lines(result)
     lo, hi, spread = stats.dispersion_summary(pct)
     write_worldlines(out / "fig5" / "worldlines.csv", pct)
@@ -315,9 +316,10 @@ def cmd_figures(args) -> int:
             base_seed=FIGURE_SEEDS["fig6"],
             max_workers=workers,
         )
+        converged &= summary.converged_fraction == 1.0
         lines.append(f"{n},{fnum(summary.dispersion_min_rate_mean)},{summary.runs}")
     _write_blocks(out / "fig6" / "dispersion.csv", [lines])
-    return status
+    return _status(args, converged)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -50,7 +50,7 @@ class WorldState:
     was_served: np.ndarray
     losses: np.ndarray
     crowds: np.ndarray
-    workspace: Workspace | None = field(repr=False, compare=False)
+    workspace: Workspace = field(repr=False, compare=False)
     unserved: np.ndarray | None = field(default=None, repr=False, compare=False)
     resident: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -328,7 +328,9 @@ def run(config: SimulationConfig) -> RunResult:
     Greedy runs stop at the first fully utilized day (f can only grow, and a
     day with everyone alone repeats forever); the other strategies always run
     the full horizon, since their saturation statistics come from the tail.
-    Per-day service flags are kept only when the config records history.
+    Only greedy runs keep each agent's final success rate, read from the
+    live counts.  Per-day service flags are kept only when the config
+    records history.
     """
     rng = np.random.default_rng(config.seed)
     max_days = config.effective_max_days
@@ -346,37 +348,22 @@ def run(config: SimulationConfig) -> RunResult:
     f_series = np.array(f_values)
     tau, f_s, converged = detect_convergence(f_series, config.strategy, config.n)
 
+    final_rates = None
+    if greedy:
+        # a greedy run stops on day max(tau, 1), or on the day after it when
+        # that is its first full day: then today's flags come off the counts
+        rate_day = max(tau, 1)
+        counts = state.success_count
+        if rate_day < state.day:
+            counts = counts - state.was_served
+        final_rates = 100.0 * counts / rate_day
+
     return RunResult(
         config=config,
         f_series=f_series,
         tau=tau,
         f_s=f_s,
-        final_rates=_final_rates(config, state, tau),
+        final_rates=final_rates,
         converged=converged,
         success_history=np.stack(flags) if flags is not None else None,
     )
-
-
-def _final_rates(config: SimulationConfig, state: WorldState, tau: int) -> np.ndarray:
-    """Each agent's cumulative success percentage at day max(tau, 1).
-
-    The counts at that day are the live ones on the last day, the live ones
-    minus today's flags on the day before (a greedy run stops the day after
-    tau), and otherwise come from replaying the seed up to that day, which
-    reproduces the run exactly; tau is a few days for crowd-avoiding runs.
-    """
-    rate_day = min(max(tau, 1), state.day)
-    if rate_day == state.day:
-        counts = state.success_count
-    elif rate_day == state.day - 1:
-        counts = state.success_count - state.was_served
-    else:
-        # the run plays no more days: freed before the replay makes its
-        # own, the run's workspace does not add to the peak memory
-        state.workspace = None
-        rng = np.random.default_rng(config.seed)
-        replay, _ = init_day_one(config, rng)
-        while replay.day < rate_day:
-            step_day(replay, config, rng)
-        counts = replay.success_count
-    return 100.0 * counts / rate_day

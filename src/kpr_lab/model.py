@@ -79,17 +79,19 @@ class RunResult:
 
     ``tau`` counts the days strictly before the first converged day, so a
     run that is converged from day 1 has ``tau = 0``.  ``final_rates`` holds
-    each agent's cumulative success percentage at day min(max(tau, 1), days).
-    ``success_history`` is a (days, n) boolean matrix of per-day service
-    flags, only kept when the config asked for history recording; no other
-    per-day array outlives the run.
+    each agent's cumulative success percentage at day max(tau, 1) for a
+    greedy run, and is None for random and crowd-avoiding runs; the world
+    lines of a history-recording run (stats.world_lines) hold any run's
+    rates.  ``success_history`` is a (days, n) boolean matrix of per-day
+    service flags, only kept when the config asked for history recording;
+    no other per-day array outlives the run.
     """
 
     config: SimulationConfig
     f_series: np.ndarray
     tau: int
     f_s: float
-    final_rates: np.ndarray
+    final_rates: np.ndarray | None
     converged: bool
     success_history: np.ndarray | None = None
 
@@ -100,13 +102,14 @@ class RunResult:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Slim per-run record kept inside an ensemble summary."""
+    """Slim per-run record kept inside an ensemble summary; like
+    final_rates, ``min_final_rate`` is None unless the run is greedy."""
 
     seed: int
     tau: int
     f_s: float
     converged: bool
-    min_final_rate: float
+    min_final_rate: float | None
 
 
 @dataclass
@@ -115,7 +118,8 @@ class EnsembleSummary:
 
     Standard deviations are population stddevs (ddof=0), so a single-run
     ensemble reports 0.  ``dispersion_min_rate_mean`` averages, over runs,
-    the minimum final cumulative success rate across agents.
+    the minimum final cumulative success rate across agents; it is None
+    unless the runs are greedy, the only ones that keep final rates.
     """
 
     config: SimulationConfig
@@ -124,6 +128,6 @@ class EnsembleSummary:
     tau_std: float
     fs_mean: float
     fs_std: float
-    dispersion_min_rate_mean: float
+    dispersion_min_rate_mean: float | None
     converged_fraction: float
     per_run: list[RunSummary] = field(default_factory=list)

@@ -70,12 +70,13 @@ class SweepPlan:
 
 def _run_one(config: SimulationConfig) -> RunSummary:
     result = engine.run(config)
+    rates = result.final_rates
     return RunSummary(
         seed=config.seed,
         tau=result.tau,
         f_s=result.f_s,
         converged=result.converged,
-        min_final_rate=float(result.final_rates.min()),
+        min_final_rate=None if rates is None else float(rates.min()),
     )
 
 
@@ -107,7 +108,7 @@ def run_ensemble(
 
     taus = np.array([r.tau for r in per_run], dtype=np.float64)
     fss = np.array([r.f_s for r in per_run])
-    mins = np.array([r.min_final_rate for r in per_run])
+    mins = [r.min_final_rate for r in per_run]
     return EnsembleSummary(
         config=config,
         runs=runs,
@@ -115,7 +116,7 @@ def run_ensemble(
         tau_std=float(taus.std()),
         fs_mean=float(fss.mean()),
         fs_std=float(fss.std()),
-        dispersion_min_rate_mean=float(mins.mean()),
+        dispersion_min_rate_mean=None if None in mins else float(np.mean(mins)),
         converged_fraction=sum(r.converged for r in per_run) / runs,
         per_run=per_run,
     )

@@ -71,3 +71,12 @@ def test_seed_ranges(tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "descending seed range '20-11'" in capsys.readouterr().err
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_nothing_to_measure_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", ".", "--change", ".",
+                          "--out", str(tmp_path / "bench.json")])
+    assert exit_info.value.code == 2
+    assert "nothing to measure" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import math
 import os
 import re
@@ -479,6 +480,33 @@ def test_figures_smoke(tmp_path, monkeypatch):
     assert (out / "fig5" / "worldlines.csv").exists()
     header = (out / "fig6" / "dispersion.csv").read_text().splitlines()[0]
     assert header == "n,dispersion_min_rate_mean,runs"
+
+
+@pytest.mark.parametrize("fig3_seed,censored,strict,expected", [
+    (4, False, True, cli.EXIT_OK),
+    (4, True, False, cli.EXIT_OK),
+    (4, True, True, cli.EXIT_STRICT_UNCONVERGED),
+    # the default fig3 run (N = 1600, seed 3) still has one agent unserved
+    # at its 16000-day cap
+    (3, False, True, cli.EXIT_STRICT_UNCONVERGED),
+])
+def test_figures_strict_counts_every_censored_run(
+    fig3_seed, censored, strict, expected, tmp_path, monkeypatch
+):
+    # fig6's ensembles come after the fig4 sweep, and fig3's typical run
+    # before it; a censored run in either fails --strict like one in fig4
+    monkeypatch.setattr(cli, "FIGURE_SWEEP_NS", (20, 40, 60))
+    monkeypatch.setattr(cli, "FIGURE_WORLDLINE_NS", (20, 30))
+    monkeypatch.setitem(cli.FIGURE_SEEDS, "fig3", fig3_seed)
+    if censored:
+        ensemble = cli.run_ensemble
+
+        def censored_ensemble(*args, **kwargs):
+            return dataclasses.replace(ensemble(*args, **kwargs), converged_fraction=0.5)
+
+        monkeypatch.setattr(cli, "run_ensemble", censored_ensemble)
+    args = ["figures", "--runs", "2", "--threads", "1", "--out", str(tmp_path / "figs")]
+    assert main(args + ["--strict"] * strict) == expected
 
 
 def readme_synopsis() -> dict[str, set[str]]:

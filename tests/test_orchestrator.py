@@ -46,6 +46,12 @@ class TestRunEnsemble:
         assert summary.fs_std == 0.0
         assert summary.dispersion_min_rate_mean == direct.final_rates.min()
 
+    def test_crowd_avoiding_runs_keep_no_final_rates(self):
+        cfg = SimulationConfig(n=25, strategy=CA, max_days=60)
+        summary = run_ensemble(cfg, runs=3, base_seed=3)
+        assert summary.dispersion_min_rate_mean is None
+        assert [r.min_final_rate for r in summary.per_run] == [None] * 3
+
     def test_aggregates_match_recomputation(self):
         cfg = SimulationConfig(n=25, strategy=CA, max_days=120)
         summary = run_ensemble(cfg, runs=8, base_seed=3)
