@@ -9,6 +9,10 @@ pairs, how many pairs the change won, the failed operations, and whether
 the two sides wrote the same output digests at each seed.  ``--faults``
 instead measures minor page faults per simulated day of one crowd-avoiding
 ``engine.run`` at each given N, in a fresh process per side and N.
+``--days STRATEGY:N:DAYS`` imports both checkouts' packages into this one
+process and steps ``engine.step_day`` for each, DAY_BLOCK days at a time,
+the side that goes first alternating from block to block: a per-day timing
+fine enough to separate moves smaller than the perfbench pairs' spread.
 
 Usage, from the root of the changed checkout:
 
@@ -16,6 +20,8 @@ Usage, from the root of the changed checkout:
         --workloads ca-large,ca-sweep-small --seeds 11-20 --out BENCH_11.json
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --faults 1600,6400,25600,51200 --out BENCH_11.json
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --days gca:400:4000,ca:25600:1000 --out BENCH_15.json
 
 Each call adds its sections to ``--out`` and keeps those already there.
 Every perfbench run lasts RUN_SECONDS, the benchmark's own run length, and
@@ -25,19 +31,27 @@ the faults table takes FAULT_REPEATS processes per side and N.
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import time
 from importlib.metadata import version
 from pathlib import Path
+
+import numpy as np
 
 SIDES = ("parent", "change")
 RUN_SECONDS = 25.0
 FAULT_REPEATS = 3
 RUN_TIMEOUT_S = 400
+DAY_BLOCK = 20
+DAYS_SEED = 3
+STATE_ARRAYS = ("last_restaurant", "last_crowd", "was_served", "crowds")
 
 # One crowd-avoiding run after a warm-up run at N = 1600 (as ca-large warms
 # up); prints minor faults per simulated day and the run's wall seconds.
@@ -69,6 +83,20 @@ def seed_list(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(f"descending seed range {part!r}")
         seeds.extend(range(low, high + 1))
     return seeds
+
+
+def day_specs(text: str) -> list[tuple[str, int, int]]:
+    """``gca:400:4000,ca:25600:1000`` as (strategy, N, days) triples."""
+    specs = []
+    for part in text.split(","):
+        fields = part.split(":")
+        if len(fields) != 3 or fields[0] not in ("random", "ca", "gca"):
+            raise argparse.ArgumentTypeError(f"not STRATEGY:N:DAYS: {part!r}")
+        n, days = int(fields[1]), int(fields[2])
+        if n < 1 or days < 1:
+            raise argparse.ArgumentTypeError(f"N and DAYS must be positive: {part!r}")
+        specs.append((fields[0], n, days))
+    return specs
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -196,6 +224,60 @@ def measure_faults(checkouts: dict[str, Path], sizes: list[int]) -> dict:
     return table
 
 
+def load_package(checkout: Path, name: str):
+    """Import ``checkout/src/kpr_lab`` as the package ``name``, so that two
+    checkouts can live in one process; return its engine and model."""
+    root = checkout / "src" / "kpr_lab"
+    for key in [key for key in sys.modules if key.split(".")[0] == name]:
+        del sys.modules[key]
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)]
+    )
+    sys.modules[name] = package = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.engine"), importlib.import_module(f"{name}.model")
+
+
+def final_state(state, rng: np.random.Generator, f_series: list[float]) -> tuple:
+    """What a run's days leave behind: its day, f series, the state arrays
+    every strategy keeps, and where its generator stands."""
+    arrays = tuple(getattr(state, name).tobytes() for name in STATE_ARRAYS)
+    return state.day, f_series, arrays, rng.bit_generator.state
+
+
+def time_days(packages: dict, strategy: str, n: int, days: int) -> dict:
+    """Step one run per side through ``days`` days after day 1, DAY_BLOCK
+    days at a time, alternating which side steps its block first."""
+    runs = {}
+    for side, (engine, model) in packages.items():
+        config = model.SimulationConfig(n=n, strategy=model.Strategy(strategy), seed=DAYS_SEED)
+        rng = np.random.default_rng(DAYS_SEED)
+        state, f = engine.init_day_one(config, rng)
+        runs[side] = engine.step_day, config, state, rng, [f]
+    seconds = dict.fromkeys(SIDES, 0.0)
+    won = blocks = 0
+    while blocks * DAY_BLOCK < days:
+        block = min(DAY_BLOCK, days - blocks * DAY_BLOCK)
+        took = {}
+        for side in SIDES if blocks % 2 == 0 else SIDES[::-1]:
+            step_day, config, state, rng, f_series = runs[side]
+            start = time.perf_counter()
+            for _ in range(block):
+                f_series.append(step_day(state, config, rng))
+            took[side] = time.perf_counter() - start
+            seconds[side] += took[side]
+        won += took["change"] < took["parent"]
+        blocks += 1
+    finals = [final_state(*runs[side][2:]) for side in SIDES]
+    return {
+        "parent_us_per_day": round(1e6 * seconds["parent"] / days, 2),
+        "change_us_per_day": round(1e6 * seconds["change"] / days, 2),
+        "ratio": round(seconds["change"] / seconds["parent"], 4),
+        "change_won_blocks": f"{won}/{blocks}",
+        "final_states_equal": finals[0] == finals[1],
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -203,10 +285,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", help="comma-separated perfbench workloads")
     parser.add_argument("--seeds", type=seed_list, default=seed_list("11-20"))
     parser.add_argument("--faults", help="comma-separated N for the faults table")
+    parser.add_argument("--days", type=day_specs,
+                        help="comma-separated STRATEGY:N:DAYS runs to step side by side")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if not (args.workloads or args.faults):
-        parser.error("nothing to measure: give --workloads, --faults or both")
+    if not (args.workloads or args.faults or args.days):
+        parser.error("nothing to measure: give --workloads, --faults or --days")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -242,6 +326,21 @@ def main(argv: list[str] | None = None) -> int:
             "by_n": measure_faults(checkouts, sizes),
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
+    if args.days:
+        packages = {side: load_package(checkouts[side], f"kpr_{side}") for side in SIDES}
+        section = report.setdefault("days", {"lines": {}})
+        section["about"] = (
+            "microseconds per simulated day of engine.step_day for one run per side "
+            f"(seed {DAYS_SEED}, after day 1), both checkouts imported into one process "
+            f"and stepped in {DAY_BLOCK}-day blocks, alternating which side goes first; "
+            "ratio is change time over parent time, and final_states_equal compares the "
+            "f series, the state arrays and the generators after the last day"
+        )
+        for strategy, n, days in args.days:
+            line = time_days(packages, strategy, n, days)
+            section["lines"][f"{strategy}:{n}:{days}"] = line
+            print(f"days {strategy}:{n}:{days}: {line}", file=sys.stderr)
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 

@@ -12,12 +12,10 @@ draws one uniform per contested restaurant (crowd of two or more) in
 ascending restaurant order, which picks a member by rank in agent order; lone
 arrivals are served without a draw.
 
-A served greedy agent always stays, so a greedy day is played over the
-unserved agents alone: it jumps over the served agents' stay/leave uniforms
-on the unchanged stream and touches only the restaurants the unserved agents
-leave or reach, with a fixed sequence of numpy calls on arrays about as
-long as the unserved list.  Its output is byte-identical to tallying all n
-agents.
+A served greedy agent always stays, so a greedy day jumps over the served
+agents' stay/leave uniforms and runs the same lottery over the restaurants
+the unserved agents leave or reach.  Its output is byte-identical to
+tallying all n agents.
 """
 
 from __future__ import annotations
@@ -35,20 +33,21 @@ from .strategy import Workspace, sample_choices_vectorized
 class WorldState:
     """Mutable per-run state, stored as arrays of length n.
 
-    An agent's success count is ``day - losses``.  Dense (random and
-    crowd-avoiding) days write into the arrays, each a buffer of its own,
-    and into the run's workspace rather than allocating, so the arrays are
-    recycled from day to day: a caller copies what it keeps.  Greedy days
-    keep the unserved agents (ascending) and each restaurant's resident,
-    its one served agent (-1 where empty); the first greedy day builds both
-    from the arrays.
+    Dense (random and crowd-avoiding) days write into the arrays, each a
+    buffer of its own, and into the run's workspace rather than allocating,
+    so the arrays are recycled from day to day: a caller copies what it
+    keeps.  Only greedy runs keep ``losses``, each agent's unserved days,
+    so only they have a ``success_count`` (``day - losses``); they also keep
+    the unserved agents (ascending) and each restaurant's resident, its one
+    served agent (-1 where empty).  Day 1 builds all three for greedy runs
+    and leaves them None for the others.
     """
 
     day: int
     last_restaurant: np.ndarray
     last_crowd: np.ndarray
     was_served: np.ndarray
-    losses: np.ndarray
+    losses: np.ndarray | None
     crowds: np.ndarray
     workspace: Workspace = field(repr=False, compare=False)
     unserved: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -60,17 +59,17 @@ class WorldState:
 
 
 def _service_lottery(
-    state: WorldState, choices: np.ndarray, n: int, rng: np.random.Generator
+    choices: np.ndarray, n: int, rng: np.random.Generator,
+    crowds: np.ndarray, own_crowd: np.ndarray, served: np.ndarray, flags: np.ndarray,
 ) -> None:
-    """Tally crowds and pick one served agent per non-empty restaurant.
+    """Tally crowds and pick one served chooser per non-empty restaurant.
 
-    Writes the crowds, each agent's crowd and the served flags over
-    yesterday's in ``state``.  A lone arrival is served outright; only
-    contested restaurants (crowd of two or more) consume randomness, one
-    uniform each in ascending restaurant order.
+    Takes at least n choices in [0, n) and writes the n crowds, each
+    chooser's crowd and the served flags; ``flags`` is bool scratch as long
+    as the choices.  A lone arrival is served outright; only contested
+    restaurants (crowd of two or more) consume randomness, one uniform each
+    in ascending restaurant order.
     """
-    crowds, own_crowd, served = state.crowds, state.last_crowd, state.was_served
-    flags = state.workspace.flags
     # bincount has no out=: its tally is copied and freed at once, before
     # the lottery makes its own arrays
     crowds[...] = np.bincount(choices, minlength=n)
@@ -78,7 +77,7 @@ def _service_lottery(
     crowds.take(choices, out=own_crowd, mode="clip")
     np.equal(own_crowd, 1, served)
 
-    contested = np.greater_equal(crowds, 2, flags).nonzero()[0]
+    contested = np.greater_equal(crowds, 2, flags[:n]).nonzero()[0]
     if contested.size:
         sizes = crowds[contested]
         u = rng.random(contested.size)
@@ -86,7 +85,7 @@ def _service_lottery(
         # size: the offset is a member's rank, never past the last member
         offsets = (u * sizes).astype(np.int64)
         # crowd members in the order that groups them by restaurant,
-        # ascending, in agent order within each group
+        # ascending, in chooser order within each group
         members = np.logical_not(served, flags).nonzero()[0]
         order = _stable_order(choices[members], n)
         starts = sizes.cumsum() - sizes
@@ -117,10 +116,11 @@ def _play_day(
     Today's crowds and flags overwrite yesterday's, and yesterday's
     choices become the workspace's buffer for tomorrow's.
     """
-    _service_lottery(state, choices, n, rng)
     work = state.workspace
+    _service_lottery(
+        choices, n, rng, state.crowds, state.last_crowd, state.was_served, work.flags
+    )
     work.choices, state.last_restaurant = state.last_restaurant, choices
-    state.losses += np.logical_not(state.was_served, work.flags)
     state.day += 1
     return np.count_nonzero(state.crowds) / n
 
@@ -131,11 +131,11 @@ def _greedy_day(
     """Play a greedy day over yesterday's unserved agents only.
 
     A served greedy agent always stays, so a restaurant's crowd changes
-    only where an unserved agent leaves or arrives.  The day touches those
-    restaurants, their residents and the unserved agents, and draws what
-    the dense day draws: the choice block, then one uniform per contested
-    restaurant in ascending restaurant order, picking a member by rank in
-    agent order.
+    only where an unserved agent leaves or arrives.  The day numbers those
+    k restaurants 0..k-1 in ascending order and runs the lottery over their
+    members (the unserved agents and the residents, in agent order).  That
+    keeps the contested restaurants' order and each member's rank, so the
+    day draws what the dense day draws.
 
     The day is a fixed number of numpy calls on arrays about as long as the
     unserved list, so it costs nearly the same with one unserved agent as
@@ -143,52 +143,37 @@ def _greedy_day(
     split between crowded days and the long one-agent endgame.
     """
     n = config.n
-    if state.resident is None:
-        served = state.was_served.nonzero()[0]
-        state.resident = np.full(n, -1)
-        state.resident[state.last_restaurant[served]] = served
-        state.unserved = (~state.was_served).nonzero()[0]
-    agents, resident = state.unserved, state.resident
+    agents, resident, crowds = state.unserved, state.resident, state.crowds
     left = state.last_restaurant[agents]
     choices = sample_choices_vectorized(
         config.strategy, config.alpha, left, state.last_crowd[agents], agents, n, rng
     )
     state.last_restaurant[agents] = choices
 
-    # today's members of the touched restaurants as restaurant * n + agent:
-    # the unserved agents where they went, the residents of the restaurants
-    # they left (who stay) and of those they reached.  Sorted, each
-    # restaurant's members are adjacent and in agent order.
-    reached = resident[choices]
-    keys = np.concatenate((
-        choices * n + agents,
-        left * n + resident[left],
-        (choices * n + reached)[reached >= 0],
-    ))
-    keys.sort()
-    keys = keys[_run_starts(keys)]  # a resident may be listed more than once
-    at = keys // n
-    who = keys - at * n
-    starts = _run_starts(at).nonzero()[0]
-    sizes = np.concatenate((starts[1:], [len(keys)])) - starts
+    touched = np.concatenate((left, choices))
+    touched.sort()
+    touched = touched[_run_starts(touched)]
+    k = len(touched)
+    residents = resident[touched]
+    members = np.concatenate((agents, residents[residents >= 0]))
+    members.sort()
+    at = state.last_restaurant[members]
+    # the crowds of the touched restaurants are rewritten below, so until
+    # then they hold each touched restaurant's local number
+    crowds[touched] = np.arange(k)
+    local = crowds[at]
 
-    picks = starts.copy()
-    contested = (sizes > 1).nonzero()[0]
-    if contested.size:
-        size = sizes[contested]
-        u = rng.random(contested.size)
-        picks[contested] += (u * size).astype(np.int64)  # a rank below size
-    served = np.zeros(len(keys), dtype=bool)
-    served[picks] = True
-    losers = who[~served]
+    m = len(members)
+    tallies, own_crowd = np.empty(k, dtype=np.int64), np.empty(m, dtype=np.int64)
+    served, flags = np.empty(m, dtype=bool), state.workspace.flags[:m]
+    _service_lottery(local, k, rng, tallies, own_crowd, served, flags)
 
-    occupied = at[starts]
-    resident[occupied] = who[picks]
-    state.crowds[occupied] = sizes
-    state.last_crowd[who] = sizes.repeat(sizes)
-    state.was_served[who] = served
+    crowds[touched] = tallies
+    state.last_crowd[members] = own_crowd
+    state.was_served[members] = served
+    resident[at[served]] = members[served]
+    losers = members[np.logical_not(served, flags)]
     state.losses[losers] += 1
-    losers.sort()
     state.unserved = losers
     state.day += 1
     return (n - len(losers)) / n
@@ -207,16 +192,25 @@ def init_day_one(
 ) -> tuple[WorldState, float]:
     """Play day 1: uniform random choices by every agent, then the lottery.
 
-    Returns the state after day 1 and day 1's utilization.
+    Returns the state after day 1 and day 1's utilization.  A greedy run's
+    state also gets its losses, unserved agents and residents here, so that
+    a run capped at one day has its counts too.
     """
     n = config.n
     # day 0: nobody has chosen, been crowded or been served yet; each array
     # is a buffer of its own, since the days write into them
-    zeros = [np.zeros(n, dtype=np.int64) for _ in range(4)]
+    zeros = [np.zeros(n, dtype=np.int64) for _ in range(3)]
     state = WorldState(
-        0, *zeros[:2], np.zeros(n, dtype=bool), *zeros[2:], Workspace(n, config.strategy)
+        0, *zeros[:2], np.zeros(n, dtype=bool), None, zeros[2], Workspace(n, config.strategy)
     )
-    return state, _play_day(state, rng.integers(0, n, size=n), n, rng)
+    f = _play_day(state, rng.integers(0, n, size=n), n, rng)
+    if config.strategy is Strategy.GREEDY_CROWD_AVOIDING:
+        state.losses = np.logical_not(state.was_served).astype(np.int64)
+        state.unserved = state.losses.nonzero()[0]
+        served = state.was_served.nonzero()[0]
+        state.resident = np.full(n, -1)
+        state.resident[state.last_restaurant[served]] = served
+    return state, f
 
 
 def step_day(

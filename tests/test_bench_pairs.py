@@ -1,8 +1,11 @@
-"""The pair summary of scripts/bench_pairs.py: a side that crashes counts."""
+"""scripts/bench_pairs.py: a side that crashes counts in the pair summary,
+and the day timing steps both checkouts to the same final state."""
 
 import importlib.util
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -80,3 +83,36 @@ def test_nothing_to_measure_is_a_usage_error(tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "nothing to measure" in capsys.readouterr().err
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_days_step_both_checkouts_block_by_block(tmp_path):
+    repo = SCRIPT.parent.parent
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(repo), "--change", str(repo),
+                             "--days", "gca:30:50,ca:20:25", "--out", str(out)]) == 0
+    lines = json.loads(out.read_text())["days"]["lines"]
+    assert list(lines) == ["gca:30:50", "ca:20:25"]
+    assert [line["change_won_blocks"][-2:] for line in lines.values()] == ["/3", "/2"]
+    for line in lines.values():
+        assert line["final_states_equal"]
+        assert line["parent_us_per_day"] > 0 and line["change_us_per_day"] > 0
+
+
+def test_final_states_differ_after_one_more_day():
+    engine, model = bench_pairs.load_package(SCRIPT.parent.parent, "kpr_alone")
+    config = model.SimulationConfig(n=20, strategy=model.Strategy.CROWD_AVOIDING, seed=3)
+    rng = np.random.default_rng(3)
+    state, f = engine.init_day_one(config, rng)
+    before = bench_pairs.final_state(state, rng, [f])
+    assert before == bench_pairs.final_state(state, rng, [f])
+    engine.step_day(state, config, rng)
+    assert before != bench_pairs.final_state(state, rng, [f])
+
+
+@pytest.mark.parametrize("spec", ["gca:30", "greedy:30:50", "ca:0:50", "ca:30:0"])
+def test_malformed_days_spec_is_a_usage_error(tmp_path, capsys, spec):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", ".", "--change", ".", "--days", spec,
+                          "--out", str(tmp_path / "bench.json")])
+    assert exit_info.value.code == 2
+    assert spec in capsys.readouterr().err

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from kpr_lab.engine import (
     WorldState,
+    _service_lottery,
     _stable_order,
     detect_convergence,
     init_day_one,
@@ -33,7 +34,8 @@ def assert_day_invariants(f: float, state: WorldState, n: int) -> None:
     served_at = np.bincount(state.last_restaurant[state.was_served], minlength=n)
     assert np.array_equal(served_at, state.crowds > 0)
     assert np.array_equal(state.last_crowd, state.crowds[state.last_restaurant])
-    assert (state.success_count <= state.day).all()
+    if state.losses is not None:  # greedy runs alone count losses
+        assert (state.success_count <= state.day).all()
 
 
 class TestDayOne:
@@ -56,10 +58,15 @@ class TestDayOne:
         assert abs(vals.mean() - 0.75) <= 3 * se
 
     def test_agents_see_their_own_crowd(self):
-        cfg = SimulationConfig(n=30, strategy=CA, seed=3)
+        cfg = SimulationConfig(n=30, strategy=GCA, seed=3)
         state, _ = init_day_one(cfg, np.random.default_rng(3))
         assert (state.last_crowd >= 1).all()
         assert state.success_count.sum() == int(state.was_served.sum())
+
+    def test_only_greedy_runs_count_losses(self):
+        cfg = SimulationConfig(n=30, strategy=CA, seed=3)
+        state, _ = init_day_one(cfg, np.random.default_rng(3))
+        assert state.losses is state.unserved is state.resident is None
 
 
 @settings(max_examples=25, deadline=None)
@@ -143,7 +150,7 @@ def test_dense_day_writes_into_the_runs_buffers(strategy):
 
 def test_interleaved_runs_match_their_solo_runs():
     """Runs stepped side by side, day by day, each keep their own buffers:
-    every run's f series and success counts are those of it run alone."""
+    every run's f series and last served flags are those of it run alone."""
     configs = [
         SimulationConfig(n=300, strategy=CA, seed=4, max_days=30),
         SimulationConfig(n=170, strategy=CA, alpha=0.5, seed=9, max_days=30),
@@ -159,7 +166,7 @@ def test_interleaved_runs_match_their_solo_runs():
     for cfg, state, f in zip(configs, states, series):
         solo = run(dataclasses.replace(cfg, record_history=True))
         assert np.array(f).tobytes() == solo.f_series.tobytes()
-        assert np.array_equal(state.success_count, solo.success_history.sum(axis=0))
+        assert np.array_equal(state.was_served, solo.success_history[-1])
 
 
 def dense_greedy_day(
@@ -212,6 +219,7 @@ def next_draws(rng: np.random.Generator) -> list:
 @example(n=1, seed=0, days=5)
 @example(n=2, seed=0, days=20)
 @example(n=65537, seed=3, days=3)
+@example(n=200_000, seed=1, days=1)  # 81 855 restaurants touched: two sorting passes
 @example(n=3000, seed=1, days=900)  # jumps over served agents' uniforms from day 589
 @example(n=2000, seed=1, days=2800)  # to full utilization and past it
 def test_greedy_day_matches_the_dense_reference(n, seed, days):
@@ -227,6 +235,42 @@ def test_greedy_day_matches_the_dense_reference(n, seed, days):
         for name in ("last_restaurant", "last_crowd", "was_served", "losses", "crowds"):
             assert np.array_equal(getattr(state, name), getattr(reference, name)), name
         assert next_draws(rng) == next_draws(reference_rng)
+
+
+@st.composite
+def choices_over(draw):
+    # at least n choices, as the dense and the greedy day both give
+    n = draw(st.integers(1, 200))
+    size = draw(st.integers(n, 2 * n))
+    choices = draw(hnp.arrays(np.int64, size, elements=st.integers(0, n - 1)))
+    return choices, n
+
+
+def lottery(choices: np.ndarray, n: int, rng: np.random.Generator) -> tuple:
+    """The crowds, own crowds and served flags of one service lottery."""
+    m = len(choices)
+    out = np.empty(n, dtype=np.int64), np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
+    _service_lottery(choices, n, rng, *out, np.empty(m, dtype=bool))
+    return out
+
+
+@settings(deadline=None)
+@given(choices_over(), st.integers(min_value=0, max_value=2**32))
+@example((np.array([3, 0, 3, 3, 0, 2]), 5), 0)
+def test_lottery_draws_alike_over_the_used_restaurants(choices_n, seed):
+    # the greedy day numbers its restaurants 0..k-1 in ascending order
+    choices, n = choices_n
+    used = np.unique(choices)
+    rng, local_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    crowds, own, served = lottery(choices, n, rng)
+    local_crowds, local_own, local_served = lottery(
+        used.searchsorted(choices), len(used), local_rng
+    )
+    assert np.array_equal(served, local_served)
+    assert np.array_equal(own, local_own)
+    assert np.array_equal(crowds[used], local_crowds)
+    assert crowds.sum() == len(choices)
+    assert next_draws(rng) == next_draws(local_rng)
 
 
 @st.composite
@@ -355,6 +399,7 @@ class TestRun:
     )
     @example(n=40, seed=1, max_days=None)  # stops the day after tau
     @example(n=40, seed=1, max_days=5)  # capped: read on the last day
+    @example(n=40, seed=1, max_days=1)  # capped at day 1: counts built by day 1
     @example(n=1, seed=0, max_days=None)  # tau = 0
     def test_final_rates_match_history_recount(self, n, seed, max_days):
         # a greedy run's final_rates, read live, equal the recorded-flag recount
