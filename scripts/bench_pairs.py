@@ -9,10 +9,12 @@ pairs, how many pairs the change won, the failed operations, and whether
 the two sides wrote the same output digests at each seed.  ``--faults``
 instead measures minor page faults per simulated day of one crowd-avoiding
 ``engine.run`` at each given N, in a fresh process per side and N.
-``--days STRATEGY:N:DAYS`` imports both checkouts' packages into this one
-process and steps ``engine.step_day`` for each, DAY_BLOCK days at a time,
-the side that goes first alternating from block to block: a per-day timing
-fine enough to separate moves smaller than the perfbench pairs' spread.
+``--days STRATEGY:N:DAYS[:SEED]`` imports both checkouts' packages into
+this one process and steps ``engine.step_day`` for each, DAY_BLOCK days at
+a time, the side that goes first alternating from block to block: a per-day
+timing fine enough to separate moves smaller than the perfbench pairs'
+spread.  The seed is DAYS_SEED unless given; a greedy line whose DAYS is
+the run's tau at that seed steps the whole run.
 
 Usage, from the root of the changed checkout:
 
@@ -21,7 +23,7 @@ Usage, from the root of the changed checkout:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --faults 1600,6400,25600,51200 --out BENCH_11.json
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --days gca:400:4000,ca:25600:1000 --out BENCH_15.json
+        --days gca:400:4000,gca:12800:60522:0,ca:25600:1000 --out BENCH_15.json
 
 Each call adds its sections to ``--out`` and keeps those already there.
 Every perfbench run lasts RUN_SECONDS, the benchmark's own run length, and
@@ -51,7 +53,8 @@ FAULT_REPEATS = 3
 RUN_TIMEOUT_S = 400
 DAY_BLOCK = 20
 DAYS_SEED = 3
-STATE_ARRAYS = ("last_restaurant", "last_crowd", "was_served", "crowds")
+STATE_ARRAYS = ("last_restaurant", "last_crowd", "was_served", "crowds", "losses",
+                "unserved", "resident")
 
 # One crowd-avoiding run after a warm-up run at N = 1600 (as ca-large warms
 # up); prints minor faults per simulated day and the run's wall seconds.
@@ -85,17 +88,20 @@ def seed_list(text: str) -> list[int]:
     return seeds
 
 
-def day_specs(text: str) -> list[tuple[str, int, int]]:
-    """``gca:400:4000,ca:25600:1000`` as (strategy, N, days) triples."""
+def day_specs(text: str) -> list[tuple[str, str, int, int, int]]:
+    """``gca:400:4000,gca:12800:60522:0`` as (spec, strategy, N, days, seed)
+    tuples; the seed is DAYS_SEED where the spec gives none."""
     specs = []
     for part in text.split(","):
         fields = part.split(":")
-        if len(fields) != 3 or fields[0] not in ("random", "ca", "gca"):
-            raise argparse.ArgumentTypeError(f"not STRATEGY:N:DAYS: {part!r}")
+        if len(fields) not in (3, 4) or fields[0] not in ("random", "ca", "gca"):
+            raise argparse.ArgumentTypeError(f"not STRATEGY:N:DAYS[:SEED]: {part!r}")
         n, days = int(fields[1]), int(fields[2])
-        if n < 1 or days < 1:
-            raise argparse.ArgumentTypeError(f"N and DAYS must be positive: {part!r}")
-        specs.append((fields[0], n, days))
+        seed = int(fields[3]) if len(fields) == 4 else DAYS_SEED
+        if n < 1 or days < 1 or seed < 0:
+            raise argparse.ArgumentTypeError(
+                f"N and DAYS must be positive, SEED not negative: {part!r}")
+        specs.append((part, fields[0], n, days, seed))
     return specs
 
 
@@ -238,20 +244,32 @@ def load_package(checkout: Path, name: str):
     return importlib.import_module(f"{name}.engine"), importlib.import_module(f"{name}.model")
 
 
-def final_state(state, rng: np.random.Generator, f_series: list[float]) -> tuple:
-    """What a run's days leave behind: its day, f series, the state arrays
-    every strategy keeps, and where its generator stands."""
-    arrays = tuple(getattr(state, name).tobytes() for name in STATE_ARRAYS)
-    return state.day, f_series, arrays, rng.bit_generator.state
+def final_state(state, rng: np.random.Generator, f_series: list[float]) -> dict:
+    """What a run's days leave behind: its day, f series, where its
+    generator stands, and each of the STATE_ARRAYS that the state keeps
+    (not None)."""
+    final = {"day": state.day, "f_series": f_series, "rng": rng.bit_generator.state}
+    for name in STATE_ARRAYS:
+        array = getattr(state, name, None)
+        if array is not None:
+            final[name] = array.tobytes()
+    return final
 
 
-def time_days(packages: dict, strategy: str, n: int, days: int) -> dict:
+def states_equal(parent: dict, change: dict) -> bool:
+    """Equal in everything both final states hold.  One side may keep an
+    array the other does not: a parent's dense run may count losses that
+    the change no longer keeps."""
+    return all(parent[key] == change[key] for key in parent.keys() & change.keys())
+
+
+def time_days(packages: dict, strategy: str, n: int, days: int, seed: int) -> dict:
     """Step one run per side through ``days`` days after day 1, DAY_BLOCK
     days at a time, alternating which side steps its block first."""
     runs = {}
     for side, (engine, model) in packages.items():
-        config = model.SimulationConfig(n=n, strategy=model.Strategy(strategy), seed=DAYS_SEED)
-        rng = np.random.default_rng(DAYS_SEED)
+        config = model.SimulationConfig(n=n, strategy=model.Strategy(strategy), seed=seed)
+        rng = np.random.default_rng(seed)
         state, f = engine.init_day_one(config, rng)
         runs[side] = engine.step_day, config, state, rng, [f]
     seconds = dict.fromkeys(SIDES, 0.0)
@@ -274,7 +292,7 @@ def time_days(packages: dict, strategy: str, n: int, days: int) -> dict:
         "change_us_per_day": round(1e6 * seconds["change"] / days, 2),
         "ratio": round(seconds["change"] / seconds["parent"], 4),
         "change_won_blocks": f"{won}/{blocks}",
-        "final_states_equal": finals[0] == finals[1],
+        "final_states_equal": states_equal(*finals),
     }
 
 
@@ -286,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=seed_list, default=seed_list("11-20"))
     parser.add_argument("--faults", help="comma-separated N for the faults table")
     parser.add_argument("--days", type=day_specs,
-                        help="comma-separated STRATEGY:N:DAYS runs to step side by side")
+                        help="comma-separated STRATEGY:N:DAYS[:SEED] runs to step side by side")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if not (args.workloads or args.faults or args.days):
@@ -331,15 +349,18 @@ def main(argv: list[str] | None = None) -> int:
         section = report.setdefault("days", {"lines": {}})
         section["about"] = (
             "microseconds per simulated day of engine.step_day for one run per side "
-            f"(seed {DAYS_SEED}, after day 1), both checkouts imported into one process "
-            f"and stepped in {DAY_BLOCK}-day blocks, alternating which side goes first; "
-            "ratio is change time over parent time, and final_states_equal compares the "
-            "f series, the state arrays and the generators after the last day"
+            f"(after day 1, at seed {DAYS_SEED} unless the line names a fourth field), "
+            "both checkouts imported into one process and stepped in "
+            f"{DAY_BLOCK}-day blocks, alternating which side goes first; ratio is change "
+            "time over parent time, and final_states_equal compares the day, the f "
+            "series, the generators and every state array both sides keep (crowds, "
+            "each agent's restaurant, crowd and served flag, and, where kept, losses, "
+            "unserved agents and residents) after the last day"
         )
-        for strategy, n, days in args.days:
-            line = time_days(packages, strategy, n, days)
-            section["lines"][f"{strategy}:{n}:{days}"] = line
-            print(f"days {strategy}:{n}:{days}: {line}", file=sys.stderr)
+        for spec, strategy, n, days, seed in args.days:
+            line = time_days(packages, strategy, n, days, seed)
+            section["lines"][spec] = line
+            print(f"days {spec}: {line}", file=sys.stderr)
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

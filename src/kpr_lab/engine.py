@@ -150,12 +150,14 @@ def _greedy_day(
     )
     state.last_restaurant[agents] = choices
 
+    # index arrays, not boolean masks: numpy indexes by an irregular mask
+    # several times slower than by the positions of its True entries
     touched = np.concatenate((left, choices))
     touched.sort()
     touched = touched[_run_starts(touched)]
     k = len(touched)
     residents = resident[touched]
-    members = np.concatenate((agents, residents[residents >= 0]))
+    members = np.concatenate((agents, residents[(residents >= 0).nonzero()[0]]))
     members.sort()
     at = state.last_restaurant[members]
     # the crowds of the touched restaurants are rewritten below, so until
@@ -171,8 +173,9 @@ def _greedy_day(
     crowds[touched] = tallies
     state.last_crowd[members] = own_crowd
     state.was_served[members] = served
-    resident[at[served]] = members[served]
-    losers = members[np.logical_not(served, flags)]
+    won = served.nonzero()[0]
+    resident[at[won]] = members[won]
+    losers = members[np.logical_not(served, flags).nonzero()[0]]
     state.losses[losers] += 1
     state.unserved = losers
     state.day += 1
@@ -180,11 +183,11 @@ def _greedy_day(
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Flag the first element of each run of equal values."""
+    """Index the first element of each run of equal values."""
     first = np.empty(len(values), dtype=bool)
     first[:1] = True
     np.not_equal(values[1:], values[:-1], out=first[1:])
-    return first
+    return first.nonzero()[0]
 
 
 def init_day_one(

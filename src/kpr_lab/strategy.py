@@ -19,17 +19,19 @@ from .model import Strategy
 
 
 class Workspace:
-    """The n-sized buffers one run's dense days write into.
+    """The n-sized buffers one run's days write into.
 
     A dense (random or crowd-avoiding) day writes into these instead of
     allocating: from n ~ 16k on, a fresh n-sized 8-byte array lies above
     malloc's mmap and trim thresholds, so it would go back to the kernel at
     the end of each day and be faulted in again the next.  Every dense day,
     day 1 of any run included, uses ``flags`` as the lottery's bool scratch
-    and trades ``choices`` for the state's ``last_restaurant``.  Only a
-    crowd-avoiding run draws into ``uniforms`` and ``p_stay``; other runs
-    leave them None.  A workspace belongs to one run: runs stepped side by
-    side each need their own.
+    and trades ``choices`` for the state's ``last_restaurant``; a greedy
+    day's lottery uses the first m <= n entries of ``flags``, one per member
+    of the restaurants the day touches.  Only a crowd-avoiding run draws
+    into ``uniforms`` and ``p_stay``; other runs leave them None.  A
+    workspace belongs to one run: runs stepped side by side each need their
+    own.
     """
 
     __slots__ = ("flags", "choices", "uniforms", "p_stay")

@@ -89,10 +89,10 @@ def test_days_step_both_checkouts_block_by_block(tmp_path):
     repo = SCRIPT.parent.parent
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", str(repo), "--change", str(repo),
-                             "--days", "gca:30:50,ca:20:25", "--out", str(out)]) == 0
+                             "--days", "gca:30:50,ca:20:25,gca:30:45:7", "--out", str(out)]) == 0
     lines = json.loads(out.read_text())["days"]["lines"]
-    assert list(lines) == ["gca:30:50", "ca:20:25"]
-    assert [line["change_won_blocks"][-2:] for line in lines.values()] == ["/3", "/2"]
+    assert list(lines) == ["gca:30:50", "ca:20:25", "gca:30:45:7"]
+    assert [line["change_won_blocks"][-2:] for line in lines.values()] == ["/3", "/2", "/3"]
     for line in lines.values():
         assert line["final_states_equal"]
         assert line["parent_us_per_day"] > 0 and line["change_us_per_day"] > 0
@@ -109,7 +109,22 @@ def test_final_states_differ_after_one_more_day():
     assert before != bench_pairs.final_state(state, rng, [f])
 
 
-@pytest.mark.parametrize("spec", ["gca:30", "greedy:30:50", "ca:0:50", "ca:30:0"])
+def test_final_states_compare_the_greedy_bookkeeping():
+    engine, model = bench_pairs.load_package(SCRIPT.parent.parent, "kpr_alone")
+    config = model.SimulationConfig(n=20, strategy=model.Strategy.GREEDY_CROWD_AVOIDING, seed=3)
+    rng = np.random.default_rng(3)
+    state, f = engine.init_day_one(config, rng)
+    final = bench_pairs.final_state(state, rng, [f])
+    assert set(bench_pairs.STATE_ARRAYS) <= set(final)
+    for name in ("losses", "unserved", "resident"):
+        other = dict(final, **{name: b""})
+        assert not bench_pairs.states_equal(final, other)
+        # an array only one side keeps is left out of the comparison
+        assert bench_pairs.states_equal(final, {k: v for k, v in final.items() if k != name})
+
+
+@pytest.mark.parametrize("spec", ["gca:30", "greedy:30:50", "ca:0:50", "ca:30:0",
+                                  "gca:30:50:-1", "gca:30:50:1:2"])
 def test_malformed_days_spec_is_a_usage_error(tmp_path, capsys, spec):
     with pytest.raises(SystemExit) as exit_info:
         bench_pairs.main(["--parent", ".", "--change", ".", "--days", spec,
