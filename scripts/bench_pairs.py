@@ -23,7 +23,7 @@ Usage, from the root of the changed checkout:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --faults 1600,6400,25600,51200 --out BENCH_11.json
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --days gca:400:4000,gca:12800:60522:0,ca:25600:1000 --out BENCH_15.json
+        --days gca:400:4000,gca:12800:60522:0,ca:25600:1000 --out days.json
 
 Each call adds its sections to ``--out`` and keeps those already there.
 Every perfbench run lasts RUN_SECONDS, the benchmark's own run length, and
