@@ -14,7 +14,12 @@ this one process and steps ``engine.step_day`` for each, DAY_BLOCK days at
 a time, the side that goes first alternating from block to block: a per-day
 timing fine enough to separate moves smaller than the perfbench pairs'
 spread.  The seed is DAYS_SEED unless given; a greedy line whose DAYS is
-the run's tau at that seed steps the whole run.
+the run's tau at that seed steps the whole run.  ``--cli "ARGS"`` runs
+``kpr ARGS`` FAULT_REPEATS times per side, each in a fresh process and an
+empty working directory, alternating which side goes first; it writes each
+side's wall seconds and peak RSS, and whether both sides wrote the same
+bytes (sha256) to every output file.  ARGS may name an ``--out`` relative
+to the working directory, not an absolute one.
 
 Usage, from the root of the changed checkout:
 
@@ -24,6 +29,8 @@ Usage, from the root of the changed checkout:
         --faults 1600,6400,25600,51200 --out BENCH_11.json
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --days gca:400:4000,gca:12800:60522:0,ca:25600:1000 --out days.json
+    python3 scripts/bench_pairs.py --parent ../parent --change . \
+        --cli "worldlines --strategy gca --n 1600 --seed 1" --out BENCH_16.json
 
 Each call adds its sections to ``--out`` and keeps those already there.
 Every perfbench run lasts RUN_SECONDS, the benchmark's own run length, and
@@ -33,14 +40,17 @@ the faults table takes FAULT_REPEATS processes per side and N.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import importlib.util
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from importlib.metadata import version
 from pathlib import Path
@@ -70,6 +80,17 @@ result = engine.run(config)
 wall = time.perf_counter() - start
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(faults / result.days, wall)
+"""
+
+# kpr's main on the arguments after argv[0]; prints the process's peak
+# resident set size (ru_maxrss, KB on Linux), since kpr writes nothing to
+# stdout.
+CLI_SNIPPET = """
+import resource, sys
+from kpr_lab.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
 """
 
 
@@ -230,6 +251,50 @@ def measure_faults(checkouts: dict[str, Path], sizes: list[int]) -> dict:
     return table
 
 
+def output_digests(folder: Path) -> dict[str, str]:
+    """sha256 of every file under ``folder``, keyed by its relative path."""
+    digests = {}
+    for path in sorted(folder.rglob("*")):
+        if path.is_file():
+            sha = hashlib.sha256()
+            with open(path, "rb") as fh:
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    sha.update(chunk)
+            digests[str(path.relative_to(folder))] = sha.hexdigest()
+    return digests
+
+
+def measure_cli(checkouts: dict[str, Path], args: list[str]) -> dict:
+    """Wall seconds and peak RSS of ``kpr ARGS`` per side, and whether
+    every run of both sides wrote the same files with the same bytes."""
+    samples: dict[str, list[tuple[float, float]]] = {side: [] for side in SIDES}
+    digests = []
+    for index in range(FAULT_REPEATS):
+        for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+            env = dict(os.environ, PYTHONPATH=str(checkouts[side] / "src"))
+            with tempfile.TemporaryDirectory(prefix=f"bench-cli-{side}-") as folder:
+                start = time.perf_counter()
+                out = subprocess.run(
+                    [sys.executable, "-c", CLI_SNIPPET, *args], cwd=folder, env=env,
+                    capture_output=True, text=True, check=True, timeout=RUN_TIMEOUT_S,
+                ).stdout.split()
+                wall = time.perf_counter() - start
+                digests.append(output_digests(Path(folder)))
+            samples[side].append((wall, int(out[-1]) / 1024))
+    line = {
+        side: {
+            "wall_s": [round(w, 3) for w, _ in runs],
+            "median_wall_s": round(statistics.median(w for w, _ in runs), 3),
+            "peak_rss_mb": [round(r, 1) for _, r in runs],
+            "median_peak_rss_mb": round(statistics.median(r for _, r in runs), 1),
+        }
+        for side, runs in samples.items()
+    }
+    line["output_files"] = len(digests[0])
+    line["outputs_equal"] = all(d == digests[0] for d in digests)
+    return line
+
+
 def load_package(checkout: Path, name: str):
     """Import ``checkout/src/kpr_lab`` as the package ``name``, so that two
     checkouts can live in one process; return its engine and model."""
@@ -305,10 +370,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--faults", help="comma-separated N for the faults table")
     parser.add_argument("--days", type=day_specs,
                         help="comma-separated STRATEGY:N:DAYS[:SEED] runs to step side by side")
+    parser.add_argument("--cli", metavar="ARGS",
+                        help="kpr arguments to run in a fresh process per side")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if not (args.workloads or args.faults or args.days):
-        parser.error("nothing to measure: give --workloads, --faults or --days")
+    if not (args.workloads or args.faults or args.days or args.cli):
+        parser.error("nothing to measure: give --workloads, --faults, --days or --cli")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -362,6 +429,19 @@ def main(argv: list[str] | None = None) -> int:
             section["lines"][spec] = line
             print(f"days {spec}: {line}", file=sys.stderr)
             args.out.write_text(json.dumps(report, indent=1) + "\n")
+    if args.cli:
+        section = report.setdefault("cli", {"lines": {}})
+        section["about"] = (
+            f"kpr ARGS (the line's key) run {FAULT_REPEATS} times per side, each in a "
+            "fresh process and an empty working directory, alternating which side "
+            "goes first: wall seconds of the process, its peak RSS (ru_maxrss) in MB, "
+            "and whether every run of both sides wrote the same files with the same "
+            "sha256"
+        )
+        line = measure_cli(checkouts, shlex.split(args.cli))
+        section["lines"][args.cli] = line
+        print(f"cli {args.cli}: {line}", file=sys.stderr)
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 

@@ -20,38 +20,49 @@ tallying all n agents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .model import RunResult, SimulationConfig, Strategy
 from .stats import exact_random_utilization
-from .strategy import Workspace, sample_choices_vectorized
+from .strategy import sample_choices_vectorized
 
 
-@dataclass
 class WorldState:
-    """Mutable per-run state, stored as arrays of length n.
+    """Mutable per-run state: every n-sized array of one run, allocated by
+    the constructor as day 0 (nobody has chosen, been crowded or been
+    served yet).
 
-    Dense (random and crowd-avoiding) days write into the arrays, each a
-    buffer of its own, and into the run's workspace rather than allocating,
-    so the arrays are recycled from day to day: a caller copies what it
-    keeps.  Only greedy runs keep ``losses``, each agent's unserved days,
-    so only they have a ``success_count`` (``day - losses``); they also keep
-    the unserved agents (ascending) and each restaurant's resident, its one
-    served agent (-1 where empty).  Day 1 builds all three for greedy runs
-    and leaves them None for the others.
+    The days write into these buffers instead of allocating: from n ~ 16k
+    on, a fresh n-sized 8-byte array lies above malloc's mmap and trim
+    thresholds, so it would go back to the kernel at the end of each day and
+    be faulted in again the next.  A caller copies what it keeps, and runs
+    stepped side by side each need a state of their own.  A dense day trades
+    ``choices`` for ``last_restaurant``; the lottery uses ``flags`` (its
+    first m entries on a greedy day) as bool scratch.  Only crowd-avoiding
+    runs keep ``uniforms`` and ``p_stay``.  Only greedy runs keep ``losses``,
+    each agent's unserved days (so ``success_count`` is ``day - losses``),
+    the unserved agents (ascending, from day 1 on) and each restaurant's
+    resident, its one served agent (-1 where empty).  The rest are None.
     """
 
-    day: int
-    last_restaurant: np.ndarray
-    last_crowd: np.ndarray
-    was_served: np.ndarray
-    losses: np.ndarray | None
-    crowds: np.ndarray
-    workspace: Workspace = field(repr=False, compare=False)
-    unserved: np.ndarray | None = field(default=None, repr=False, compare=False)
-    resident: np.ndarray | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("day", "last_restaurant", "last_crowd", "was_served", "crowds",
+                 "choices", "flags", "uniforms", "p_stay", "losses", "unserved",
+                 "resident")
+
+    def __init__(self, n: int, strategy: Strategy) -> None:
+        self.day = 0
+        self.last_restaurant, self.last_crowd, self.crowds, self.choices = (
+            np.zeros(n, dtype=np.int64) for _ in range(4)
+        )
+        self.was_served = np.zeros(n, dtype=bool)
+        self.flags = np.empty(n, dtype=bool)
+        crowd_avoiding = strategy is Strategy.CROWD_AVOIDING
+        greedy = strategy is Strategy.GREEDY_CROWD_AVOIDING
+        self.uniforms = np.empty(n) if crowd_avoiding else None
+        self.p_stay = np.empty(n) if crowd_avoiding else None
+        self.losses = np.zeros(n, dtype=np.int64) if greedy else None
+        self.resident = np.full(n, -1) if greedy else None
+        self.unserved = None
 
     @property
     def success_count(self) -> np.ndarray:
@@ -108,19 +119,24 @@ def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
 
 
 def _play_day(
-    state: WorldState, choices: np.ndarray, n: int, rng: np.random.Generator
+    state: WorldState, strategy: Strategy, config: SimulationConfig,
+    rng: np.random.Generator,
 ) -> float:
-    """Run the lottery on today's choices, move the state to today and
-    return today's utilization (occupied restaurants / n).
+    """Play a dense day: every agent chooses by ``strategy`` from yesterday's
+    state, then the lottery.  Moves the state to today and returns today's
+    utilization (occupied restaurants / n).
 
     Today's crowds and flags overwrite yesterday's, and yesterday's
-    choices become the workspace's buffer for tomorrow's.
+    choices become the buffer for tomorrow's.
     """
-    work = state.workspace
-    _service_lottery(
-        choices, n, rng, state.crowds, state.last_crowd, state.was_served, work.flags
+    n = config.n
+    choices = sample_choices_vectorized(
+        strategy, config.alpha, state.last_restaurant, state.last_crowd, None, n, rng, state
     )
-    work.choices, state.last_restaurant = state.last_restaurant, choices
+    _service_lottery(
+        choices, n, rng, state.crowds, state.last_crowd, state.was_served, state.flags
+    )
+    state.choices, state.last_restaurant = state.last_restaurant, choices
     state.day += 1
     return np.count_nonzero(state.crowds) / n
 
@@ -167,7 +183,7 @@ def _greedy_day(
 
     m = len(members)
     tallies, own_crowd = np.empty(k, dtype=np.int64), np.empty(m, dtype=np.int64)
-    served, flags = np.empty(m, dtype=bool), state.workspace.flags[:m]
+    served, flags = np.empty(m, dtype=bool), state.flags[:m]
     _service_lottery(local, k, rng, tallies, own_crowd, served, flags)
 
     crowds[touched] = tallies
@@ -199,19 +215,12 @@ def init_day_one(
     state also gets its losses, unserved agents and residents here, so that
     a run capped at one day has its counts too.
     """
-    n = config.n
-    # day 0: nobody has chosen, been crowded or been served yet; each array
-    # is a buffer of its own, since the days write into them
-    zeros = [np.zeros(n, dtype=np.int64) for _ in range(3)]
-    state = WorldState(
-        0, *zeros[:2], np.zeros(n, dtype=bool), None, zeros[2], Workspace(n, config.strategy)
-    )
-    f = _play_day(state, rng.integers(0, n, size=n), n, rng)
+    state = WorldState(config.n, config.strategy)
+    f = _play_day(state, Strategy.RANDOM, config, rng)
     if config.strategy is Strategy.GREEDY_CROWD_AVOIDING:
-        state.losses = np.logical_not(state.was_served).astype(np.int64)
+        np.logical_not(state.was_served, out=state.losses)
         state.unserved = state.losses.nonzero()[0]
         served = state.was_served.nonzero()[0]
-        state.resident = np.full(n, -1)
         state.resident[state.last_restaurant[served]] = served
     return state, f
 
@@ -225,17 +234,7 @@ def step_day(
     """
     if config.strategy is Strategy.GREEDY_CROWD_AVOIDING:
         return _greedy_day(state, config, rng)
-    choices = sample_choices_vectorized(
-        config.strategy,
-        config.alpha,
-        state.last_restaurant,
-        state.last_crowd,
-        None,
-        config.n,
-        rng,
-        state.workspace,
-    )
-    return _play_day(state, choices, config.n, rng)
+    return _play_day(state, config.strategy, config, rng)
 
 
 # Settlement threshold: a day counts as saturated once the smoothed series

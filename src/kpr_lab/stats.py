@@ -30,9 +30,13 @@ def world_lines(result: RunResult) -> np.ndarray:
     if result.success_history is None:
         raise ValueError("run did not record history; enable record_history")
     upto = min(max(result.tau, 1), len(result.success_history))
-    flags = result.success_history[:upto]
-    days = np.arange(1, upto + 1)
-    return 100.0 * np.cumsum(flags, axis=0) / days[:, None]
+    # one float matrix, filled in place: sums of 0/1 flags are exact in
+    # float64, so each entry is 100.0 * (days served) / day to the bit
+    pct = result.success_history[:upto].astype(np.float64)
+    np.cumsum(pct, axis=0, out=pct)
+    pct *= 100.0
+    pct /= np.arange(1, upto + 1)[:, None]
+    return pct
 
 
 def dispersion_summary(pct: np.ndarray) -> tuple[float, float, float]:

@@ -13,35 +13,14 @@ output byte, is the same as if all n uniforms had been drawn.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .model import Strategy
 
-
-class Workspace:
-    """The n-sized buffers one run's days write into.
-
-    A dense (random or crowd-avoiding) day writes into these instead of
-    allocating: from n ~ 16k on, a fresh n-sized 8-byte array lies above
-    malloc's mmap and trim thresholds, so it would go back to the kernel at
-    the end of each day and be faulted in again the next.  Every dense day,
-    day 1 of any run included, uses ``flags`` as the lottery's bool scratch
-    and trades ``choices`` for the state's ``last_restaurant``; a greedy
-    day's lottery uses the first m <= n entries of ``flags``, one per member
-    of the restaurants the day touches.  Only a crowd-avoiding run draws
-    into ``uniforms`` and ``p_stay``; other runs leave them None.  A
-    workspace belongs to one run: runs stepped side by side each need their
-    own.
-    """
-
-    __slots__ = ("flags", "choices", "uniforms", "p_stay")
-
-    def __init__(self, n: int, strategy: Strategy) -> None:
-        self.flags = np.empty(n, dtype=bool)
-        self.choices = np.empty(n, dtype=np.int64)
-        crowd_avoiding = strategy is Strategy.CROWD_AVOIDING
-        self.uniforms = np.empty(n) if crowd_avoiding else None
-        self.p_stay = np.empty(n) if crowd_avoiding else None
+if TYPE_CHECKING:
+    from .engine import WorldState
 
 
 def sample_choices_vectorized(
@@ -52,7 +31,7 @@ def sample_choices_vectorized(
     agents: np.ndarray | None,
     n: int,
     rng: np.random.Generator,
-    workspace: Workspace | None = None,
+    state: WorldState | None = None,
 ) -> np.ndarray:
     """Sample one day's choices in a single vectorized pass.
 
@@ -69,20 +48,20 @@ def sample_choices_vectorized(
     their ascending indices.  A served greedy agent always stays, so its
     uniform is jumped over rather than read (see :func:`uniforms_at`).
 
-    A crowd-avoiding day needs the run's ``workspace``: it works in it and
-    returns ``workspace.choices``; the inputs are not written.  The other
-    strategies ignore it.
+    A crowd-avoiding day needs the run's ``state``: it works in the state's
+    buffers and returns ``state.choices``; the inputs are not written.  The
+    other strategies ignore it.
     """
     if strategy is Strategy.RANDOM:
         return rng.integers(0, n, size=n)
     if strategy is Strategy.CROWD_AVOIDING:
-        p_stay = workspace.p_stay
+        p_stay = state.p_stay
         p_stay[...] = last_crowd
         # in place, ** keeps numpy's fast paths (a reciprocal at alpha = 1)
         p_stay **= -alpha
-        uniforms = rng.random(out=workspace.uniforms)
-        leave = np.greater_equal(uniforms, p_stay, workspace.flags)
-        choices = workspace.choices
+        uniforms = rng.random(out=state.uniforms)
+        leave = np.greater_equal(uniforms, p_stay, state.flags)
+        choices = state.choices
         choices[...] = last_restaurant
     else:
         p_stay = 1.0 / last_crowd

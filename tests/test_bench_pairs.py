@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py: a side that crashes counts in the pair summary,
-and the day timing steps both checkouts to the same final state."""
+the day timing steps both checkouts to the same final state, and the
+command timing compares both sides' output bytes."""
 
 import importlib.util
 import json
@@ -96,6 +97,31 @@ def test_days_step_both_checkouts_block_by_block(tmp_path):
     for line in lines.values():
         assert line["final_states_equal"]
         assert line["parent_us_per_day"] > 0 and line["change_us_per_day"] > 0
+
+
+def test_cli_runs_a_command_per_side_and_compares_its_outputs(tmp_path):
+    repo = SCRIPT.parent.parent
+    out = tmp_path / "bench.json"
+    command = "run --strategy ca --n 20 --max-days 30 --seed 1 --out tiny"
+    assert bench_pairs.main(["--parent", str(repo), "--change", str(repo),
+                             "--cli", command, "--out", str(out)]) == 0
+    line = json.loads(out.read_text())["cli"]["lines"][command]
+    assert line["outputs_equal"]
+    assert line["output_files"] == 2  # tiny/timeseries.csv, tiny/summary.txt
+    for side in bench_pairs.SIDES:
+        assert len(line[side]["wall_s"]) == bench_pairs.FAULT_REPEATS
+        assert line[side]["median_wall_s"] > 0 and line[side]["median_peak_rss_mb"] > 0
+
+
+def test_output_digests_see_every_file_and_byte(tmp_path):
+    (tmp_path / "fig").mkdir()
+    (tmp_path / "fig" / "a.csv").write_text("1\n")
+    (tmp_path / "b.txt").write_text("x\n")
+    before = bench_pairs.output_digests(tmp_path)
+    assert sorted(before) == ["b.txt", "fig/a.csv"]
+    (tmp_path / "fig" / "a.csv").write_text("2\n")
+    after = bench_pairs.output_digests(tmp_path)
+    assert after["b.txt"] == before["b.txt"] and after["fig/a.csv"] != before["fig/a.csv"]
 
 
 def test_final_states_differ_after_one_more_day():

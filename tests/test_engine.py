@@ -19,7 +19,6 @@ from kpr_lab.engine import (
 )
 from kpr_lab.model import SimulationConfig, Strategy
 from kpr_lab.stats import world_lines
-from kpr_lab.strategy import Workspace
 
 CA = Strategy.CROWD_AVOIDING
 GCA = Strategy.GREEDY_CROWD_AVOIDING
@@ -107,15 +106,11 @@ def test_greedy_occupancy_never_shrinks(n, seed):
 def test_crowd_avoiding_fixed_point_when_all_alone():
     n = 12
     assignment = np.arange(n)
-    state = WorldState(
-        day=1,
-        last_restaurant=assignment.copy(),
-        last_crowd=np.ones(n, dtype=np.int64),
-        was_served=np.ones(n, dtype=bool),
-        losses=np.zeros(n, dtype=np.int64),
-        crowds=np.ones(n, dtype=np.int64),
-        workspace=Workspace(n, CA),
-    )
+    state = WorldState(n, CA)
+    state.day = 1
+    state.last_restaurant[...] = assignment
+    state.last_crowd[...] = state.crowds[...] = 1
+    state.was_served[...] = True
     cfg = SimulationConfig(n=n, strategy=CA)
     f = step_day(state, cfg, np.random.default_rng(0))
     assert np.array_equal(state.last_restaurant, assignment)
@@ -148,6 +143,29 @@ def test_dense_day_writes_into_the_runs_buffers(strategy):
     assert peak / (8 * n) < DENSE_DAY_PEAK[strategy]
 
 
+# A greedy endgame day at n = 25600 with at most 20 unserved agents, seeds
+# 0-2, read 0.057-0.059 in the same units (~12 KB): arrays as long as the
+# unserved list and the restaurants it touches.  One n-sized bool array
+# alone would read 0.125.
+GREEDY_ENDGAME_DAY_PEAK = 0.1
+
+
+def test_greedy_endgame_day_allocates_no_n_sized_array():
+    n = 25600
+    cfg = SimulationConfig(n=n, strategy=GCA, seed=1)
+    rng = np.random.default_rng(1)
+    state, _ = init_day_one(cfg, rng)
+    while len(state.unserved) > 20:
+        step_day(state, cfg, rng)
+    tracemalloc.start()
+    try:
+        step_day(state, cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n) < GREEDY_ENDGAME_DAY_PEAK
+
+
 def test_interleaved_runs_match_their_solo_runs():
     """Runs stepped side by side, day by day, each keep their own buffers:
     every run's f series and last served flags are those of it run alone."""
@@ -169,11 +187,11 @@ def test_interleaved_runs_match_their_solo_runs():
         assert np.array_equal(state.was_served, solo.success_history[-1])
 
 
-def dense_greedy_day(
-    state: WorldState, n: int, rng: np.random.Generator
-) -> tuple[WorldState, float]:
+def dense_greedy_day(state: WorldState, n: int, rng: np.random.Generator) -> float:
     """Reference greedy day over all n agents: every agent's stay/leave
-    uniform is drawn and every restaurant is tallied, as the engine once did."""
+    uniform is drawn and every restaurant is tallied, as the engine once did.
+    Moves the state's day, choices, crowds, served flags and losses to today
+    (fresh arrays each) and returns today's utilization."""
     p_stay = 1.0 / state.last_crowd
     p_stay[state.was_served] = 1.0
     stay = rng.random(n) < p_stay
@@ -193,11 +211,10 @@ def dense_greedy_day(
         members = np.flatnonzero(~served)
         grouped = members[np.argsort(choices[members], kind="stable")]
         served[grouped[np.cumsum(sizes) - sizes + offsets]] = True
-    after = WorldState(
-        state.day + 1, choices, crowds[choices], served, state.losses + ~served, crowds,
-        state.workspace,
-    )
-    return after, np.count_nonzero(crowds) / n
+    state.day += 1
+    state.last_restaurant, state.last_crowd, state.was_served = choices, crowds[choices], served
+    state.losses, state.crowds = state.losses + ~served, crowds
+    return np.count_nonzero(crowds) / n
 
 
 def next_draws(rng: np.random.Generator) -> list:
@@ -229,7 +246,7 @@ def test_greedy_day_matches_the_dense_reference(n, seed, days):
     reference, reference_rng = copy.deepcopy((state, rng))
     for _ in range(days):
         f = step_day(state, cfg, rng)
-        reference, reference_f = dense_greedy_day(reference, n, reference_rng)
+        reference_f = dense_greedy_day(reference, n, reference_rng)
         assert f == reference_f
         assert state.day == reference.day
         for name in ("last_restaurant", "last_crowd", "was_served", "losses", "crowds"):

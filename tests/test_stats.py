@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,25 @@ class TestWorldLines:
             assert round(value * day / 100) == flags[:day, 0].sum()
             assert 0.0 <= value <= 100.0
 
+
+    def test_bytes_of_the_integer_cumsum_formula(self):
+        flags = np.random.default_rng(2).random((300, 40)) < 0.7
+        pct = world_lines(make_result_with_history(flags, tau=250))
+        days = np.arange(1, 251)[:, None]
+        assert pct.tobytes() == (100.0 * np.cumsum(flags[:250], axis=0) / days).tobytes()
+
+    def test_fills_one_float_matrix(self):
+        # the flags exist already; only the float matrix (and no int64
+        # cumsum of its size beside it) may be made
+        flags = np.random.default_rng(3).random((2000, 200)) < 0.7
+        result = make_result_with_history(flags, tau=2000)
+        tracemalloc.start()
+        try:
+            pct = world_lines(result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / pct.nbytes < 1.3
 
 class TestDispersionSummary:
     def test_single_always_winning_agent(self):

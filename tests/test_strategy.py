@@ -3,13 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kpr_lab.engine import WorldState
 from kpr_lab.model import Strategy
-from kpr_lab.strategy import (
-    JUMP_COST_UNIFORMS,
-    Workspace,
-    sample_choices_vectorized,
-    uniforms_at,
-)
+from kpr_lab.strategy import JUMP_COST_UNIFORMS, sample_choices_vectorized, uniforms_at
 from reference import AgentState, sample_choice, stay_probability
 
 CA = Strategy.CROWD_AVOIDING
@@ -136,11 +132,11 @@ class TestVectorizedSampling:
         rng = np.random.default_rng(3)
         last = np.arange(n)
         crowd = np.full(n, 2)
-        work = Workspace(n, CA)
+        state = WorldState(n, CA)
         stays = 0
         rounds = 200
         for _ in range(rounds):
-            choices = sample_choices_vectorized(CA, 1.0, last, crowd, None, n, rng, work)
+            choices = sample_choices_vectorized(CA, 1.0, last, crowd, None, n, rng, state)
             stays += int((choices == last).sum())
         p, draws = 0.5, n * rounds
         se = np.sqrt(p * (1 - p) / draws)
@@ -179,9 +175,9 @@ class TestVectorizedSampling:
         rng = np.random.default_rng(5)
         last = np.full(n, 2)
         crowd = np.full(n, 10**9)  # stay probability ~ 0
-        work = Workspace(n, CA)
+        state = WorldState(n, CA)
         for _ in range(200):
-            choices = sample_choices_vectorized(CA, 1.0, last, crowd, None, n, rng, work)
+            choices = sample_choices_vectorized(CA, 1.0, last, crowd, None, n, rng, state)
             assert not np.any(choices == 2)
 
 
