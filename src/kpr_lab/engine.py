@@ -4,18 +4,27 @@ A run is strictly sequential: all agents choose simultaneously from
 yesterday's state, crowds are tallied, and every non-empty restaurant serves
 one uniformly chosen arrival.  Day 1 has no yesterday, so every agent picks
 uniformly at random (the zero-memory baseline), which also seeds the
-crowd-avoiding strategies with their first crowd observation.
+crowd-avoiding strategies with their first crowd observation.  After that
+an agent knows only the crowd at the restaurant it visited yesterday and
+whether it was served there: it stays with probability ``1 / crowd**alpha``
+(crowd-avoiding) or ``1 / crowd`` (unserved greedy; a served greedy agent
+always stays), else picks uniformly among the other n-1 restaurants.
+``tests/reference.py`` writes this rule out per agent.
 
-Random-number consumption per day is fixed: the choice phase draws in agent
-order (see strategy.sample_choices_vectorized), then the service lottery
-draws one uniform per contested restaurant (crowd of two or more) in
-ascending restaurant order, which picks a member by rank in agent order; lone
-arrivals are served without a draw.
+Random-number consumption per day is fixed, so runs replay exactly:
 
-A served greedy agent always stays, so a greedy day jumps over the served
-agents' stay/leave uniforms and runs the same lottery over the restaurants
-the unserved agents leave or reach.  Its output is byte-identical to
-tallying all n agents.
+1. the choice block, in agent order: n integers for a random day, else n
+   stay/leave uniforms;
+2. one integer in [0, n-1) per mover (leaver), in agent order;
+3. one uniform per contested restaurant (crowd of two or more), in
+   ascending restaurant order, which picks a member by rank in agent order;
+   lone arrivals are served without a draw.
+
+A greedy day draws the same stream over yesterday's unserved agents only:
+it jumps over the served agents' uniforms (``bit_generator.advance``)
+instead of drawing them, and runs the same lottery over the restaurants the
+unserved agents leave or reach.  Its output is byte-identical to tallying
+all n agents.
 """
 
 from __future__ import annotations
@@ -24,7 +33,6 @@ import numpy as np
 
 from .model import RunResult, SimulationConfig, Strategy
 from .stats import exact_random_utilization
-from .strategy import sample_choices_vectorized
 
 
 class WorldState:
@@ -40,9 +48,9 @@ class WorldState:
     ``choices`` for ``last_restaurant``; the lottery uses ``flags`` (its
     first m entries on a greedy day) as bool scratch.  Only crowd-avoiding
     runs keep ``uniforms`` and ``p_stay``.  Only greedy runs keep ``losses``,
-    each agent's unserved days (so ``success_count`` is ``day - losses``),
-    the unserved agents (ascending, from day 1 on) and each restaurant's
-    resident, its one served agent (-1 where empty).  The rest are None.
+    each agent's unserved days, the unserved agents (ascending, from day 1
+    on) and each restaurant's resident, its one served agent (-1 where
+    empty).  The rest are None.
     """
 
     __slots__ = ("day", "last_restaurant", "last_crowd", "was_served", "crowds",
@@ -64,9 +72,82 @@ class WorldState:
         self.resident = np.full(n, -1) if greedy else None
         self.unserved = None
 
-    @property
-    def success_count(self) -> np.ndarray:
-        return self.day - self.losses
+
+def sample_choices_vectorized(
+    strategy: Strategy,
+    alpha: float,
+    last_restaurant: np.ndarray,
+    last_crowd: np.ndarray,
+    agents: np.ndarray | None,
+    n: int,
+    rng: np.random.Generator,
+    state: WorldState | None = None,
+) -> np.ndarray:
+    """Sample one day's choices (draws 1 and 2 of the module docstring).
+
+    The random and crowd-avoiding strategies take every agent (``agents``
+    is ignored).  The greedy strategy takes only the unserved agents:
+    ``last_restaurant`` and ``last_crowd`` hold their rows and ``agents``
+    their ascending indices.  A crowd-avoiding day needs the run's
+    ``state``: it works in the state's buffers and returns
+    ``state.choices``; the inputs are not written.  The other strategies
+    ignore ``state``.
+    """
+    if strategy is Strategy.RANDOM:
+        return rng.integers(0, n, size=n)
+    if strategy is Strategy.CROWD_AVOIDING:
+        p_stay = state.p_stay
+        p_stay[...] = last_crowd
+        # in place, ** keeps numpy's fast paths (a reciprocal at alpha = 1)
+        p_stay **= -alpha
+        uniforms = rng.random(out=state.uniforms)
+        leave = np.greater_equal(uniforms, p_stay, state.flags)
+        choices = state.choices
+        choices[...] = last_restaurant
+    else:
+        p_stay = 1.0 / last_crowd
+        leave = uniforms_at(rng, agents, n) >= p_stay
+        choices = last_restaurant.copy()
+    movers = leave.nonzero()[0]
+    if movers.size:
+        other = rng.integers(0, n - 1, size=movers.size)
+        other += other >= last_restaurant[movers]
+        choices[movers] = other
+    return choices
+
+
+# Jumping over a stretch of the stream costs about as much as drawing this
+# many uniforms (one advance plus one scalar draw against ~5 ns a uniform)
+JUMP_COST_UNIFORMS = 512
+
+
+def uniforms_at(
+    rng: np.random.Generator, positions: np.ndarray, n: int
+) -> np.ndarray:
+    """Return ``rng.random(n)[positions]`` for ascending positions, leaving
+    rng where ``rng.random(n)`` would.
+
+    When the positions are few against n, only they are drawn: each uniform
+    is one 64-bit step of PCG64, so ``bit_generator.advance`` jumps over the
+    others.  advance drops a buffered 32-bit half (left by a 32-bit integer
+    draw), so a pending half is put back afterwards.
+    """
+    if (len(positions) + 1) * JUMP_COST_UNIFORMS >= n:
+        return rng.random(n)[positions]
+    bit_generator = rng.bit_generator
+    before = bit_generator.state
+    values = np.empty(len(positions))
+    drawn = 0
+    for i, position in enumerate(positions.tolist()):
+        bit_generator.advance(position - drawn)
+        values[i] = rng.random()
+        drawn = position + 1
+    bit_generator.advance(n - drawn)
+    if before["has_uint32"]:
+        after = bit_generator.state
+        after["has_uint32"], after["uinteger"] = 1, before["uinteger"]
+        bit_generator.state = after
+    return values
 
 
 def _service_lottery(
@@ -76,10 +157,8 @@ def _service_lottery(
     """Tally crowds and pick one served chooser per non-empty restaurant.
 
     Takes at least n choices in [0, n) and writes the n crowds, each
-    chooser's crowd and the served flags; ``flags`` is bool scratch as long
-    as the choices.  A lone arrival is served outright; only contested
-    restaurants (crowd of two or more) consume randomness, one uniform each
-    in ascending restaurant order.
+    chooser's crowd and the served flags (draw 3 of the module docstring);
+    ``flags`` is bool scratch as long as the choices.
     """
     # bincount has no out=: its tally is copied and freed at once, before
     # the lottery makes its own arrays
@@ -347,12 +426,9 @@ def run(config: SimulationConfig) -> RunResult:
     final_rates = None
     if greedy:
         # a greedy run stops on day max(tau, 1), or on the day after it when
-        # that is its first full day: then today's flags come off the counts
+        # that is its first full day, on which nobody loses
         rate_day = max(tau, 1)
-        counts = state.success_count
-        if rate_day < state.day:
-            counts = counts - state.was_served
-        final_rates = 100.0 * counts / rate_day
+        final_rates = 100.0 * (rate_day - state.losses) / rate_day
 
     return RunResult(
         config=config,

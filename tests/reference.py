@@ -1,6 +1,6 @@
 """Reference paths, written out plainly, that the package's tests compare against.
 
-The package samples a whole day at once (strategy.sample_choices_vectorized);
+The package samples a whole day at once (engine.sample_choices_vectorized);
 the per-agent functions here state the same rule one agent at a time.
 ``reference_fnum`` is the number format as two format-and-parse passes, the
 oracle for the one-pass ``cli.fnum``.

@@ -16,9 +16,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kpr_lab"
 DAY_STEP = {
-    "strategy.py": ("sample_choices_vectorized", "uniforms_at"),
-    "engine.py": ("_service_lottery", "_stable_order", "_play_day", "_greedy_day",
-                  "_run_starts", "step_day"),
+    "engine.py": ("sample_choices_vectorized", "uniforms_at", "_service_lottery",
+                  "_stable_order", "_play_day", "_greedy_day", "_run_starts",
+                  "step_day"),
 }
 WRAPPERS = frozenset({"flatnonzero", "nonzero", "cumsum", "argsort", "diff", "append"})
 

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kpr_lab.engine import WorldState
+from kpr_lab.engine import JUMP_COST_UNIFORMS, WorldState, sample_choices_vectorized, uniforms_at
 from kpr_lab.model import Strategy
-from kpr_lab.strategy import JUMP_COST_UNIFORMS, sample_choices_vectorized, uniforms_at
 from reference import AgentState, sample_choice, stay_probability
 
 CA = Strategy.CROWD_AVOIDING
