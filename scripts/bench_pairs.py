@@ -29,7 +29,7 @@ Usage, from the root of the changed checkout:
         --faults 1600,6400,25600,51200 --out BENCH_11.json
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --days gca:400:4000,gca:12800:60522:0,ca:25600:1000 --out days.json
-    python3 scripts/bench_pairs.py --parent ../parent --change . \
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --cli "worldlines --strategy gca --n 1600 --seed 1" --out BENCH_16.json
 
 Each call adds its sections to ``--out`` and keeps those already there.

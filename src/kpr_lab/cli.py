@@ -107,19 +107,16 @@ def write_sweep(path: Path, variable: SweepVariable, rows) -> None:
     _write_blocks(path, [lines])
 
 
-def write_worldlines(path: Path, pct) -> None:
-    """Agent-major rows of a (days, n) world-line matrix, one agent at a time."""
-
-    days = [f",{day}," for day in range(1, pct.shape[0] + 1)]
+def write_worldlines(path: Path, lines) -> None:
+    """Agent-major rows of world lines, written as each agent's line arrives."""
 
     def blocks():
         yield ["agent_id,t,cumulative_success_pct"]
-        for agent in range(pct.shape[1]):
+        days: list[str] = []  # ",t," for t = 1, 2, ...
+        for agent, line in enumerate(lines):
+            days += [f",{day}," for day in range(len(days) + 1, len(line) + 1)]
             prefix = str(agent)
-            yield [
-                f"{prefix}{day}{fnum(value)}"
-                for day, value in zip(days, pct[:, agent].tolist())
-            ]
+            yield [f"{prefix}{day}{fnum(value)}" for day, value in zip(days, line.tolist())]
 
     _write_blocks(path, blocks())
 
@@ -223,10 +220,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_worldlines(args) -> int:
     result, echo = _run(args, "worldlines", record_history=True)
-    pct = stats.world_lines(result)
-    lo, hi, spread = stats.dispersion_summary(pct)
+    lo, hi, spread = stats.dispersion_summary(result)
     out = Path(args.out)
-    write_worldlines(out / "worldlines.csv", pct)
+    write_worldlines(out / "worldlines.csv", stats.world_lines(result))
     write_summary(
         out / "summary.txt",
         echo
@@ -292,9 +288,8 @@ def cmd_figures(args) -> int:
     )
     result = engine.run(wl_config)
     converged &= result.converged
-    pct = stats.world_lines(result)
-    lo, hi, spread = stats.dispersion_summary(pct)
-    write_worldlines(out / "fig5" / "worldlines.csv", pct)
+    lo, hi, spread = stats.dispersion_summary(result)
+    write_worldlines(out / "fig5" / "worldlines.csv", stats.world_lines(result))
     write_summary(
         out / "fig5" / "summary.txt",
         [

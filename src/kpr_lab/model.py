@@ -81,10 +81,10 @@ class RunResult:
     run that is converged from day 1 has ``tau = 0``.  ``final_rates`` holds
     each agent's cumulative success percentage at day max(tau, 1) for a
     greedy run, and is None for random and crowd-avoiding runs; the world
-    lines of a history-recording run (stats.world_lines) hold any run's
-    rates.  ``success_history`` is a (days, n) boolean matrix of per-day
-    service flags, only kept when the config asked for history recording;
-    no other per-day array outlives the run.
+    lines of a history-recording run (stats.world_lines, one array per
+    agent) end in any run's rates.  ``success_history`` is a (days, n)
+    boolean matrix of per-day service flags, kept only when the config
+    records history; no other per-day array outlives the run.
     """
 
     config: SimulationConfig

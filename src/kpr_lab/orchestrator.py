@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import engine
-from .model import EnsembleSummary, RunSummary, SimulationConfig, check_seed
+from .model import EnsembleSummary, RunSummary, SimulationConfig, Strategy, check_seed
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -52,6 +52,9 @@ class SweepPlan:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("sweep needs at least one value")
+        strategy = self.base_config.strategy
+        if self.variable is SweepVariable.ALPHA and strategy is not Strategy.CROWD_AVOIDING:
+            raise ValueError(f"{strategy.value} ignores alpha; only ca runs can sweep it")
         for value in self.values:
             self.config_for(value)
         if any(b <= a for a, b in zip(self.values, self.values[1:])):

@@ -1,8 +1,10 @@
-"""Estimators and analytic baselines: the occupancy formula, the world-line
-matrix of cumulative success percentages (days x agents), its dispersion
-and finite-size extrapolation."""
+"""Estimators and analytic baselines: the occupancy formula, the world
+lines (each agent's cumulative success percentages, one array per agent),
+their dispersion and finite-size extrapolation."""
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -20,31 +22,29 @@ def exact_random_utilization(n: int) -> float:
     return 1.0 - (1.0 - 1.0 / n) ** n
 
 
-def world_lines(result: RunResult) -> np.ndarray:
-    """Cumulative success percentages of every agent, day 1 to max(tau, 1).
-
-    Returns a (max(tau, 1), n) matrix: row t-1 is day t, column i is agent
-    i.  Requires the run to have recorded per-day service flags
-    (config.record_history).
-    """
-    if result.success_history is None:
-        raise ValueError("run did not record history; enable record_history")
-    upto = min(max(result.tau, 1), len(result.success_history))
-    # one float matrix, filled in place: sums of 0/1 flags are exact in
-    # float64, so each entry is 100.0 * (days served) / day to the bit
-    pct = result.success_history[:upto].astype(np.float64)
-    np.cumsum(pct, axis=0, out=pct)
-    pct *= 100.0
-    pct /= np.arange(1, upto + 1)[:, None]
-    return pct
+def world_lines(result: RunResult) -> Iterator[np.ndarray]:
+    """Each agent's cumulative success percentages, day 1 to max(tau, 1):
+    one array per agent, in agent order, whose entry t-1 is day t.  Requires
+    the run to have recorded per-day service flags (config.record_history)."""
+    flags = _rate_flags(result)
+    days = np.arange(1, len(flags) + 1)
+    # a count of served days is exact in float64: each entry is 100 * served / day to the bit
+    return (flags[:, i].cumsum() * 100.0 / days for i in range(flags.shape[1]))
 
 
-def dispersion_summary(pct: np.ndarray) -> tuple[float, float, float]:
-    """(min, max, spread) of the agents' final cumulative success
-    percentages, the last row of a world-line matrix."""
-    finals = pct[-1]
+def dispersion_summary(result: RunResult) -> tuple[float, float, float]:
+    """(min, max, spread) of the agents' cumulative success percentages on
+    day max(tau, 1), the last entry of each world line."""
+    flags = _rate_flags(result)
+    finals = flags.sum(axis=0) * 100.0 / len(flags)
     lo, hi = float(finals.min()), float(finals.max())
     return lo, hi, hi - lo
+
+
+def _rate_flags(result: RunResult) -> np.ndarray:
+    if result.success_history is None:
+        raise ValueError("run did not record history; enable record_history")
+    return result.success_history[: max(result.tau, 1)]
 
 
 def estimate_fs_extrapolation(rows: tuple[EnsembleSummary, ...]) -> tuple[float, float]:

@@ -12,8 +12,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from reference import reference_fnum
 
-from kpr_lab import cli
+from kpr_lab import cli, stats
 from kpr_lab.cli import fnum, main
+from kpr_lab.model import RunResult, SimulationConfig, Strategy
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -348,12 +349,21 @@ class TestWorldlinesCommand:
 
 
 def _write_peak_bytes(path, days, n):
-    """tracemalloc peak of write_worldlines on a (days, n) matrix made beforehand."""
-    successes = np.random.default_rng(0).random((days, n)) < 0.6
-    pct = 100.0 * np.cumsum(successes, axis=0) / np.arange(1, days + 1)[:, None]
+    """tracemalloc peak of writing the world lines of a (days, n) flag
+    history made beforehand."""
+    flags = np.random.default_rng(0).random((days, n)) < 0.6
+    result = RunResult(
+        config=SimulationConfig(n=n, strategy=Strategy.CROWD_AVOIDING),
+        f_series=flags.mean(axis=1),
+        tau=days,
+        f_s=0.6,
+        final_rates=None,
+        converged=True,
+        success_history=flags,
+    )
     tracemalloc.start()
     try:
-        cli.write_worldlines(path, pct)
+        cli.write_worldlines(path, stats.world_lines(result))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -364,6 +374,23 @@ def test_worldline_rows_stream_one_agent_at_a_time(tmp_path):
     large = _write_peak_bytes(tmp_path / "large.csv", 400, 1600)
     assert large < 1_000_000
     assert large < 2 * small
+
+
+def test_worldlines_command_makes_no_float_matrix(tmp_path):
+    # the run keeps its (days, n) service flags; world lines as one float64
+    # matrix would take eight bytes per flag on top of them
+    n = days = 800
+    tracemalloc.start()
+    try:
+        main(["worldlines", "--strategy", "gca", "--n", str(n), "--max-days", str(days),
+              "--seed", "1", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"days={days}\n" in (tmp_path / "summary.txt").read_text()
+    matrix_bytes = days * n * np.dtype(np.float64).itemsize
+    print(f"worldlines peak: {peak / matrix_bytes:.2f} of a (days, n) float matrix")
+    assert peak < matrix_bytes / 2
 
 
 class TestExitCodes:
@@ -415,12 +442,17 @@ class TestExitCodes:
              "--runs", "0"],
             # rejected while parsing, before fig1's run writes its directory
             ["figures", "--runs", "0"],
+            ["sweep", "--strategy", "gca", "--variable", "alpha", "--values", "0.5,1",
+             "--n", "20"],
+            ["sweep", "--strategy", "random", "--variable", "alpha", "--values", "0.5,1",
+             "--n", "20"],
         ],
         ids=["n-zero", "negative-alpha", "negative-seed", "non-numeric-value",
              "decreasing-values", "alpha-sweep-without-n", "unknown-config-key",
              "zero-threads", "negative-threads", "nan-alpha", "inf-alpha",
              "nan-sweep-value", "sweep-negative-seed", "sweep-seed-above-64-bits",
-             "sweep-zero-runs", "figures-zero-runs"],
+             "sweep-zero-runs", "figures-zero-runs", "gca-alpha-sweep",
+             "random-alpha-sweep"],
     )
     def test_invalid_value_is_a_usage_error(self, args, tmp_path, capsys):
         cfg = tmp_path / "bogus.cfg"

@@ -18,7 +18,7 @@ from kpr_lab.engine import (
     step_day,
 )
 from kpr_lab.model import SimulationConfig, Strategy
-from kpr_lab.stats import world_lines
+from kpr_lab.stats import dispersion_summary, world_lines
 
 CA = Strategy.CROWD_AVOIDING
 GCA = Strategy.GREEDY_CROWD_AVOIDING
@@ -429,6 +429,8 @@ class TestRun:
         day = max(full.tau, 1)
         recount = 100.0 * full.success_history[:day].sum(axis=0) / day
         assert np.array_equal(full.final_rates, recount)
+        lo, hi, _ = dispersion_summary(full)
+        assert (lo, hi) == (full.final_rates.min(), full.final_rates.max())
 
     @pytest.mark.parametrize("strategy", [RANDOM, CA])
     def test_only_greedy_runs_keep_final_rates(self, strategy):
@@ -436,11 +438,11 @@ class TestRun:
         assert result.final_rates is None
 
     def test_crowd_avoiding_final_rates_at_tau(self):
-        # a ca run's rates at day max(tau, 1) are the last row of its world lines
+        # a ca run's rates at day max(tau, 1) end its world lines
         result = run(
             SimulationConfig(n=30, strategy=CA, seed=3, max_days=60, record_history=True)
         )
         day = max(result.tau, 1)
         assert 1 < day < result.days  # tau = 7: a recount over several days
         recount = 100.0 * result.success_history[:day].sum(axis=0) / day
-        assert np.array_equal(world_lines(result)[-1], recount)
+        assert np.array_equal([line[-1] for line in world_lines(result)], recount)

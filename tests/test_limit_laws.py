@@ -9,6 +9,14 @@ loses one agent again.  So the days from a run's first day with one
 unserved agent to its full day are Geometric(p = 1/(2(N - 1))), whatever
 came before.
 
+Stage m has m unserved agents and m empty restaurants.  Each unserved
+agent leaves with probability 1/2 and then finds one of the m empty
+restaurants with probability m/(N - 1), so the stage ends at a rate of
+about m**2/(2(N - 1)) a day and lasts about 2(N - 1)/m**2 days on average.
+That law is approximate for m > 1, since a mover may also join a crowd of
+two or share an empty restaurant with another mover, but both are rare
+while m is much smaller than N.
+
 The chi-square tail is written out in numpy, since scipy is not a test
 dependency.
 """
@@ -24,6 +32,9 @@ from kpr_lab.orchestrator import derive_seed
 N = 20
 RUNS = 1000
 BASE_SEED = 0
+STAGES_N = 400
+STAGES_RUNS = 150
+STAGES = range(2, 7)
 P_LEAVE_TO_EMPTY = 1.0 / (2 * (N - 1))
 # upper ends (days) of 13 wait bins of about equal probability under the
 # law, P(wait <= k) = 1 - (1 - p)**k; the last bin is open
@@ -42,23 +53,27 @@ def chi2_sf_even(x: float, df: int) -> float:
     return math.exp(-x / 2) * total
 
 
-def stage_one_wait(seed: int) -> int | None:
-    """Days from the run's first day with one unserved agent to its full
-    day, or None when the run skips that state."""
-    cfg = SimulationConfig(n=N, strategy=Strategy.GREEDY_CROWD_AVOIDING, seed=seed)
+def stage_waits(n: int, seed: int, last: int = 1) -> dict[int, int]:
+    """Stage m's wait for each m >= last that a greedy run reaches: the days
+    from its first day with m unserved agents to its first day with fewer.
+    A run that skips m gives no wait for m.  The run stops on its first day
+    with fewer than ``last`` unserved agents."""
+    cfg = SimulationConfig(n=n, strategy=Strategy.GREEDY_CROWD_AVOIDING, seed=seed)
     rng = np.random.default_rng(seed)
-    state, f = init_day_one(cfg, rng)
-    first = None
-    while f != 1.0:
-        if first is None and len(state.unserved) == 1:
-            first = state.day
-        assert state.day < 100 * N, "greedy run did not fill"
-        f = step_day(state, cfg, rng)
-    return None if first is None else state.day - first
+    state, _ = init_day_one(cfg, rng)
+    first = {}  # unserved count -> its first day; a greedy count never grows
+    while True:
+        first.setdefault(len(state.unserved), state.day)
+        if len(state.unserved) < last:
+            break
+        assert state.day < 100 * n, "greedy run did not fill"
+        step_day(state, cfg, rng)
+    counts = sorted(first, reverse=True)
+    return {m: first[fewer] - first[m] for m, fewer in zip(counts, counts[1:])}
 
 
 def test_stage_one_wait_is_geometric():
-    waits = [stage_one_wait(derive_seed(BASE_SEED, i)) for i in range(RUNS)]
+    waits = [stage_waits(N, derive_seed(BASE_SEED, i)).get(1) for i in range(RUNS)]
     waits = np.array([w for w in waits if w is not None])
     p = P_LEAVE_TO_EMPTY
     assert len(waits) > RUNS // 2
@@ -78,6 +93,21 @@ def test_stage_one_wait_is_geometric():
     p_value = chi2_sf_even(chi2, BINS - 1)
     print(f"stage-1 wait: chi2 = {chi2:.1f} on {BINS - 1} df, p = {p_value:.3g}")
     assert p_value > 1e-3
+
+
+def test_stage_waits_two_to_six_are_two_n_over_m_squared():
+    runs = [stage_waits(STAGES_N, derive_seed(BASE_SEED, i), last=2)
+            for i in range(STAGES_RUNS)]
+    for m in STAGES:
+        waits = np.array([run[m] for run in runs if m in run])
+        law = 2 * (STAGES_N - 1) / m**2
+        se = waits.std(ddof=1) / np.sqrt(len(waits))
+        z = (waits.mean() - law) / se
+        print(f"stage-{m} wait: {len(waits)} runs, mean {waits.mean():.1f} "
+              f"against {law:.1f}, SD/mean {waits.std(ddof=1) / waits.mean():.2f}, "
+              f"z = {z:+.2f}")
+        assert len(waits) > STAGES_RUNS // 2
+        assert abs(z) <= 4
 
 
 def test_chi2_tail_matches_known_values():

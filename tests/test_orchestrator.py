@@ -17,6 +17,7 @@ from kpr_lab.orchestrator import (
 
 CA = Strategy.CROWD_AVOIDING
 GCA = Strategy.GREEDY_CROWD_AVOIDING
+RANDOM = Strategy.RANDOM
 
 
 class TestDeriveSeed:
@@ -134,6 +135,15 @@ class TestSweepPlan:
                 base_config=SimulationConfig(n=10, strategy=CA),
                 variable=SweepVariable.ALPHA,
                 values=(0.5, bad),
+            )
+
+    @pytest.mark.parametrize("strategy", [RANDOM, GCA])
+    def test_rejects_an_alpha_sweep_of_a_strategy_that_ignores_alpha(self, strategy):
+        with pytest.raises(ValueError, match="ignores alpha"):
+            SweepPlan(
+                base_config=SimulationConfig(n=10, strategy=strategy),
+                variable=SweepVariable.ALPHA,
+                values=(0.5, 1.0),
             )
 
     @pytest.mark.parametrize("bad", [10.5, float("inf"), float("nan")])

@@ -66,67 +66,87 @@ def make_result_with_history(flags: np.ndarray, tau: int) -> object:
     )
 
 
+def line_matrix(result) -> np.ndarray:
+    """The world lines of a run as (days, n) columns, for comparisons."""
+    return np.column_stack(list(world_lines(result)))
+
+
 class TestWorldLines:
     def test_worked_example(self):
         # three losses then two wins: 0, 0, 0, 25, 40 percent
         flags = np.array([[0], [0], [0], [1], [1]], dtype=bool)
-        pct = world_lines(make_result_with_history(flags, tau=5))
-        assert pct.shape == (5, 1)
-        assert np.allclose(pct[:, 0], [0.0, 0.0, 0.0, 25.0, 40.0])
+        (line,) = world_lines(make_result_with_history(flags, tau=5))
+        assert np.allclose(line, [0.0, 0.0, 0.0, 25.0, 40.0])
 
     def test_all_wins_and_all_losses(self):
         flags = np.ones((6, 2), dtype=bool)
         flags[:, 1] = False
-        pct = world_lines(make_result_with_history(flags, tau=6))
-        assert np.allclose(pct[:, 0], 100.0)
-        assert np.allclose(pct[:, 1], 0.0)
+        winner, loser = world_lines(make_result_with_history(flags, tau=6))
+        assert np.allclose(winner, 100.0)
+        assert np.allclose(loser, 0.0)
 
     def test_stops_at_tau(self):
         flags = np.ones((10, 3), dtype=bool)
-        pct = world_lines(make_result_with_history(flags, tau=4))
-        assert pct.shape == (4, 3)
+        lines = list(world_lines(make_result_with_history(flags, tau=4)))
+        assert [len(line) for line in lines] == [4, 4, 4]
 
     def test_requires_history(self):
         result = run(SimulationConfig(n=5, strategy=Strategy.RANDOM, max_days=20))
         with pytest.raises(ValueError):
             world_lines(result)
+        with pytest.raises(ValueError):
+            dispersion_summary(result)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=60))
     def test_counts_round_trip(self, outcomes):
         flags = np.array(outcomes, dtype=bool).reshape(-1, 1)
-        pct = world_lines(make_result_with_history(flags, tau=len(outcomes)))
-        for day, value in enumerate(pct[:, 0], start=1):
+        (line,) = world_lines(make_result_with_history(flags, tau=len(outcomes)))
+        for day, value in enumerate(line, start=1):
             assert round(value * day / 100) == flags[:day, 0].sum()
             assert 0.0 <= value <= 100.0
 
-
     def test_bytes_of_the_integer_cumsum_formula(self):
         flags = np.random.default_rng(2).random((300, 40)) < 0.7
-        pct = world_lines(make_result_with_history(flags, tau=250))
+        pct = line_matrix(make_result_with_history(flags, tau=250))
         days = np.arange(1, 251)[:, None]
         assert pct.tobytes() == (100.0 * np.cumsum(flags[:250], axis=0) / days).tobytes()
 
-    def test_fills_one_float_matrix(self):
-        # the flags exist already; only the float matrix (and no int64
-        # cumsum of its size beside it) may be made
+    def test_reads_one_line_at_a_time(self):
+        # the flags exist already; reading every line may hold a few lines,
+        # never a (days, n) float matrix
         flags = np.random.default_rng(3).random((2000, 200)) < 0.7
         result = make_result_with_history(flags, tau=2000)
+        line_bytes = 2000 * np.dtype(np.float64).itemsize
         tracemalloc.start()
         try:
-            pct = world_lines(result)
+            count = sum(1 for _ in world_lines(result))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / pct.nbytes < 1.3
+        assert count == 200
+        assert peak < 8 * line_bytes
+
 
 class TestDispersionSummary:
     def test_single_always_winning_agent(self):
-        pct = np.full((3, 1), 100.0)
-        assert dispersion_summary(pct) == (100.0, 100.0, 0.0)
+        flags = np.ones((3, 1), dtype=bool)
+        result = make_result_with_history(flags, tau=3)
+        assert dispersion_summary(result) == (100.0, 100.0, 0.0)
 
     def test_min_max_spread(self):
-        pct = np.array([[50.0, 50.0], [80.0, 95.0]])
-        assert dispersion_summary(pct) == (80.0, 95.0, 15.0)
+        # day 20: 16 and 19 days served
+        flags = np.ones((20, 2), dtype=bool)
+        flags[:4, 0] = False
+        flags[0, 1] = False
+        result = make_result_with_history(flags, tau=20)
+        assert dispersion_summary(result) == (80.0, 95.0, 15.0)
+
+    def test_is_the_last_entry_of_the_world_lines(self):
+        flags = np.random.default_rng(4).random((300, 40)) < 0.7
+        result = make_result_with_history(flags, tau=250)
+        finals = line_matrix(result)[-1]
+        lo, hi, spread = dispersion_summary(result)
+        assert (lo, hi, spread) == (finals.min(), finals.max(), finals.max() - finals.min())
 
 
 def table_from(values, fs):
