@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import RunResult, SimulationConfig, Strategy
-from .stats import exact_random_utilization
+from .stats import exact_random_utilization, success_percentages
 
 
 class WorldState:
@@ -45,7 +45,8 @@ class WorldState:
     thresholds, so it would go back to the kernel at the end of each day and
     be faulted in again the next.  A caller copies what it keeps, and runs
     stepped side by side each need a state of their own.  A dense day trades
-    ``choices`` for ``last_restaurant``; the lottery uses ``flags`` (its
+    ``choices`` for ``last_restaurant`` (day 1 hands it day 0's, so
+    ``choices`` starts as None); the lottery uses ``flags`` (its
     first m entries on a greedy day) as bool scratch.  Only crowd-avoiding
     runs keep ``uniforms`` and ``p_stay``.  Only greedy runs keep ``losses``,
     each agent's unserved days, the unserved agents (ascending, from day 1
@@ -59,8 +60,8 @@ class WorldState:
 
     def __init__(self, n: int, strategy: Strategy) -> None:
         self.day = 0
-        self.last_restaurant, self.last_crowd, self.crowds, self.choices = (
-            np.zeros(n, dtype=np.int64) for _ in range(4)
+        self.last_restaurant, self.last_crowd, self.crowds = (
+            np.zeros(n, dtype=np.int64) for _ in range(3)
         )
         self.was_served = np.zeros(n, dtype=bool)
         self.flags = np.empty(n, dtype=bool)
@@ -70,7 +71,7 @@ class WorldState:
         self.p_stay = np.empty(n) if crowd_avoiding else None
         self.losses = np.zeros(n, dtype=np.int64) if greedy else None
         self.resident = np.full(n, -1) if greedy else None
-        self.unserved = None
+        self.choices = self.unserved = None
 
 
 def sample_choices_vectorized(
@@ -404,8 +405,8 @@ def run(config: SimulationConfig) -> RunResult:
     day with everyone alone repeats forever); the other strategies always run
     the full horizon, since their saturation statistics come from the tail.
     Only greedy runs keep each agent's final success rate, read from the
-    live counts.  Per-day service flags are kept only when the config
-    records history.
+    live counts.  Each day's losers (its unserved agents, ascending, as
+    int32) are kept only when the config records history.
     """
     rng = np.random.default_rng(config.seed)
     max_days = config.effective_max_days
@@ -413,12 +414,14 @@ def run(config: SimulationConfig) -> RunResult:
 
     state, f = init_day_one(config, rng)
     f_values = [f]
-    flags = [state.was_served.copy()] if config.record_history else None
+    losers = [] if config.record_history else None
 
-    while state.day < max_days and not (greedy and f_values[-1] == 1.0):
+    while True:
+        if losers is not None:
+            losers.append(np.logical_not(state.was_served).nonzero()[0].astype(np.int32))
+        if state.day >= max_days or (greedy and f_values[-1] == 1.0):
+            break
         f_values.append(step_day(state, config, rng))
-        if flags is not None:
-            flags.append(state.was_served.copy())
 
     f_series = np.array(f_values)
     tau, f_s, converged = detect_convergence(f_series, config.strategy, config.n)
@@ -428,7 +431,7 @@ def run(config: SimulationConfig) -> RunResult:
         # a greedy run stops on day max(tau, 1), or on the day after it when
         # that is its first full day, on which nobody loses
         rate_day = max(tau, 1)
-        final_rates = 100.0 * (rate_day - state.losses) / rate_day
+        final_rates = success_percentages(state.losses, rate_day)
 
     return RunResult(
         config=config,
@@ -437,5 +440,5 @@ def run(config: SimulationConfig) -> RunResult:
         f_s=f_s,
         final_rates=final_rates,
         converged=converged,
-        success_history=np.stack(flags) if flags is not None else None,
+        losers=losers,
     )

@@ -82,9 +82,9 @@ class RunResult:
     each agent's cumulative success percentage at day max(tau, 1) for a
     greedy run, and is None for random and crowd-avoiding runs; the world
     lines of a history-recording run (stats.world_lines, one array per
-    agent) end in any run's rates.  ``success_history`` is a (days, n)
-    boolean matrix of per-day service flags, kept only when the config
-    records history; no other per-day array outlives the run.
+    agent) end in any run's rates.  ``losers`` holds each day's unserved
+    agents, one ascending int32 array per day played, kept only when the
+    config records history; no other per-day array outlives the run.
     """
 
     config: SimulationConfig
@@ -93,7 +93,7 @@ class RunResult:
     f_s: float
     final_rates: np.ndarray | None
     converged: bool
-    success_history: np.ndarray | None = None
+    losers: list[np.ndarray] | None = None
 
     @property
     def days(self) -> int:

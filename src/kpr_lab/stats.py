@@ -1,6 +1,7 @@
-"""Estimators and analytic baselines: the occupancy formula, the world
-lines (each agent's cumulative success percentages, one array per agent),
-their dispersion and finite-size extrapolation."""
+"""Estimators and analytic baselines: the occupancy formula, the success
+percentage, the world lines (each agent's cumulative success percentages,
+one array per agent, read from a run's per-day losers), their dispersion
+and finite-size extrapolation."""
 
 from __future__ import annotations
 
@@ -22,29 +23,47 @@ def exact_random_utilization(n: int) -> float:
     return 1.0 - (1.0 - 1.0 / n) ** n
 
 
+def success_percentages(losses: np.ndarray, days: int | np.ndarray) -> np.ndarray:
+    """Cumulative success percentage after ``days`` days with ``losses`` of
+    them unserved: 100 * (days - losses) / days, elementwise.  A count of
+    served days is exact in float64, so each entry is correct to the bit."""
+    return (days - losses) * 100.0 / days
+
+
 def world_lines(result: RunResult) -> Iterator[np.ndarray]:
     """Each agent's cumulative success percentages, day 1 to max(tau, 1):
     one array per agent, in agent order, whose entry t-1 is day t.  Requires
-    the run to have recorded per-day service flags (config.record_history)."""
-    flags = _rate_flags(result)
-    days = np.arange(1, len(flags) + 1)
-    # a count of served days is exact in float64: each entry is 100 * served / day to the bit
-    return (flags[:, i].cumsum() * 100.0 / days for i in range(flags.shape[1]))
+    the run to have recorded its losers (config.record_history)."""
+    losers = _rate_losers(result)
+    days = np.arange(1, len(losers) + 1)
+    # one (agent, day) key per loss, sorted in place: each agent's loss
+    # days, ascending, in agent order
+    keys = np.concatenate(losers, dtype=np.int64)
+    ends = np.bincount(keys, minlength=result.config.n).cumsum().tolist()
+    keys *= len(days) + 1
+    keys += np.repeat(days.astype(np.int32), [len(day) for day in losers])
+    keys.sort()
+    keys %= len(days) + 1
+    return (
+        success_percentages(np.searchsorted(keys[start:end], days, "right"), days)
+        for start, end in zip([0] + ends, ends)
+    )
 
 
 def dispersion_summary(result: RunResult) -> tuple[float, float, float]:
     """(min, max, spread) of the agents' cumulative success percentages on
     day max(tau, 1), the last entry of each world line."""
-    flags = _rate_flags(result)
-    finals = flags.sum(axis=0) * 100.0 / len(flags)
+    losers = _rate_losers(result)
+    losses = np.bincount(np.concatenate(losers), minlength=result.config.n)
+    finals = success_percentages(losses, len(losers))
     lo, hi = float(finals.min()), float(finals.max())
     return lo, hi, hi - lo
 
 
-def _rate_flags(result: RunResult) -> np.ndarray:
-    if result.success_history is None:
+def _rate_losers(result: RunResult) -> list[np.ndarray]:
+    if result.losers is None:
         raise ValueError("run did not record history; enable record_history")
-    return result.success_history[: max(result.tau, 1)]
+    return result.losers[: max(result.tau, 1)]
 
 
 def estimate_fs_extrapolation(rows: tuple[EnsembleSummary, ...]) -> tuple[float, float]:

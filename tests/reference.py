@@ -3,7 +3,10 @@
 The package samples a whole day at once (engine.sample_choices_vectorized);
 the per-agent functions here state the same rule one agent at a time.
 ``reference_fnum`` is the number format as two format-and-parse passes, the
-oracle for the one-pass ``cli.fnum``.
+oracle for the one-pass ``cli.fnum``.  ``reference_world_lines`` and
+``reference_dispersion`` read the success percentages from a (days, n)
+matrix of service flags by cumulative sums, the oracle for ``stats``, which
+reads them from each day's losers (``losers_of`` turns flags into those).
 """
 
 from __future__ import annotations
@@ -89,3 +92,23 @@ def reference_fnum(x: float) -> str:
             return text
         x = float(text)
     return text
+
+
+def losers_of(flags: np.ndarray) -> list[np.ndarray]:
+    """Each day's unserved agents, ascending, as a run records them."""
+    return [np.flatnonzero(~served).astype(np.int32) for served in flags]
+
+
+def reference_world_lines(flags: np.ndarray, tau: int) -> np.ndarray:
+    """(days, n) cumulative success percentages, days 1 to max(tau, 1)."""
+    flags = flags[: max(tau, 1)]
+    days = np.arange(1, len(flags) + 1)[:, None]
+    return flags.cumsum(axis=0) * 100.0 / days
+
+
+def reference_dispersion(flags: np.ndarray, tau: int) -> tuple[float, float, float]:
+    """(min, max, spread) of the percentages on day max(tau, 1)."""
+    flags = flags[: max(tau, 1)]
+    finals = flags.sum(axis=0) * 100.0 / len(flags)
+    lo, hi = float(finals.min()), float(finals.max())
+    return lo, hi, hi - lo

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from reference import reference_fnum
+from reference import losers_of, reference_fnum
 
 from kpr_lab import cli, stats
 from kpr_lab.cli import fnum, main
@@ -349,8 +349,9 @@ class TestWorldlinesCommand:
 
 
 def _write_peak_bytes(path, days, n):
-    """tracemalloc peak of writing the world lines of a (days, n) flag
-    history made beforehand."""
+    """tracemalloc peak of writing the world lines of the losers of a
+    (days, n) flag history, both made beforehand: each line is computed as
+    the writer reads it."""
     flags = np.random.default_rng(0).random((days, n)) < 0.6
     result = RunResult(
         config=SimulationConfig(n=n, strategy=Strategy.CROWD_AVOIDING),
@@ -359,11 +360,12 @@ def _write_peak_bytes(path, days, n):
         f_s=0.6,
         final_rates=None,
         converged=True,
-        success_history=flags,
+        losers=losers_of(flags),
     )
+    lines = stats.world_lines(result)
     tracemalloc.start()
     try:
-        cli.write_worldlines(path, stats.world_lines(result))
+        cli.write_worldlines(path, lines)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -377,8 +379,8 @@ def test_worldline_rows_stream_one_agent_at_a_time(tmp_path):
 
 
 def test_worldlines_command_makes_no_float_matrix(tmp_path):
-    # the run keeps its (days, n) service flags; world lines as one float64
-    # matrix would take eight bytes per flag on top of them
+    # the run keeps its losers; world lines as one float64 matrix would
+    # take eight bytes per agent and day on top of them
     n = days = 800
     tracemalloc.start()
     try:

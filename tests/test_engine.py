@@ -107,12 +107,11 @@ def test_greedy_occupancy_never_shrinks(n, seed):
 def test_crowd_avoiding_fixed_point_when_all_alone():
     n = 12
     assignment = np.arange(n)
-    state = WorldState(n, CA)
-    state.day = 1
+    cfg = SimulationConfig(n=n, strategy=CA)
+    state, _ = init_day_one(cfg, np.random.default_rng(1))
     state.last_restaurant[...] = assignment
     state.last_crowd[...] = state.crowds[...] = 1
     state.was_served[...] = True
-    cfg = SimulationConfig(n=n, strategy=CA)
     f = step_day(state, cfg, np.random.default_rng(0))
     assert np.array_equal(state.last_restaurant, assignment)
     assert f == 1.0
@@ -185,7 +184,7 @@ def test_interleaved_runs_match_their_solo_runs():
     for cfg, state, f in zip(configs, states, series):
         solo = run(dataclasses.replace(cfg, record_history=True))
         assert np.array(f).tobytes() == solo.f_series.tobytes()
-        assert np.array_equal(state.was_served, solo.success_history[-1])
+        assert np.array_equal(np.flatnonzero(~state.was_served), solo.losers[-1])
 
 
 def dense_greedy_day(state: WorldState, n: int, rng: np.random.Generator) -> float:
@@ -405,9 +404,12 @@ class TestRun:
     def test_history_recording_shape(self):
         cfg = SimulationConfig(n=20, strategy=GCA, seed=9, record_history=True)
         result = run(cfg)
-        assert result.success_history is not None
-        assert result.success_history.shape == (result.days, 20)
-        assert result.success_history.dtype == bool
+        assert result.losers is not None
+        assert len(result.losers) == result.days
+        for day, f in zip(result.losers, result.f_series):
+            assert day.dtype == np.int32
+            assert np.all(np.diff(day) > 0) and np.all((day >= 0) & (day < 20))
+            assert len(day) == 20 - round(f * 20)  # one served agent per occupied restaurant
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -427,10 +429,31 @@ class TestRun:
         assert lean.tau == full.tau
         assert np.array_equal(lean.final_rates, full.final_rates)
         day = max(full.tau, 1)
-        recount = 100.0 * full.success_history[:day].sum(axis=0) / day
+        losses = np.bincount(np.concatenate(full.losers[:day]), minlength=n)
+        recount = 100.0 * (day - losses) / day
         assert np.array_equal(full.final_rates, recount)
         lo, hi, _ = dispersion_summary(full)
         assert (lo, hi) == (full.final_rates.min(), full.final_rates.max())
+
+    @pytest.mark.parametrize(
+        "strategy,n,days,gate",
+        [(GCA, 800, 800, 0.5), (CA, 1600, 1000, 2.0), (RANDOM, 1600, 1000, 2.0)],
+    )
+    def test_history_memory_follows_the_losers(self, strategy, n, days, gate):
+        # a greedy run loses a few agents a day, a dense run a share of n: a
+        # (days, n) flag record would take at least n * days bytes at its end
+        cfg = SimulationConfig(n=n, strategy=strategy, seed=1, max_days=days,
+                               record_history=True)
+        run(cfg)
+        tracemalloc.start()
+        try:
+            result = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.days == days
+        print(f"{strategy.value} history run peak: {peak / (n * days):.2f} of n * days bytes")
+        assert peak < gate * n * days
 
     @pytest.mark.parametrize("strategy", [RANDOM, CA])
     def test_only_greedy_runs_keep_final_rates(self, strategy):
@@ -444,5 +467,6 @@ class TestRun:
         )
         day = max(result.tau, 1)
         assert 1 < day < result.days  # tau = 7: a recount over several days
-        recount = 100.0 * result.success_history[:day].sum(axis=0) / day
+        losses = np.bincount(np.concatenate(result.losers[:day]), minlength=30)
+        recount = 100.0 * (day - losses) / day
         assert np.array_equal([line[-1] for line in world_lines(result)], recount)

@@ -17,6 +17,9 @@ That law is approximate for m > 1, since a mover may also join a crowd of
 two or share an empty restaurant with another mover, but both are rare
 while m is much smaller than N.
 
+Summed over the stages, tau/N tends to sum(2/m**2) = pi**2/3 on average
+(Biane, Pitman & Yor 2001 give its limit law).
+
 The chi-square tail is written out in numpy, since scipy is not a test
 dependency.
 """
@@ -27,7 +30,7 @@ import numpy as np
 
 from kpr_lab.engine import init_day_one, step_day
 from kpr_lab.model import SimulationConfig, Strategy
-from kpr_lab.orchestrator import derive_seed
+from kpr_lab.orchestrator import derive_seed, run_ensemble
 
 N = 20
 RUNS = 1000
@@ -35,6 +38,8 @@ BASE_SEED = 0
 STAGES_N = 400
 STAGES_RUNS = 150
 STAGES = range(2, 7)
+TAU_RUNS = 100
+TAU_CAP_FACTOR = 40
 P_LEAVE_TO_EMPTY = 1.0 / (2 * (N - 1))
 # upper ends (days) of 13 wait bins of about equal probability under the
 # law, P(wait <= k) = 1 - (1 - p)**k; the last bin is open
@@ -108,6 +113,21 @@ def test_stage_waits_two_to_six_are_two_n_over_m_squared():
               f"z = {z:+.2f}")
         assert len(waits) > STAGES_RUNS // 2
         assert abs(z) <= 4
+
+
+def test_greedy_tau_over_n_averages_pi_squared_over_three():
+    config = SimulationConfig(n=STAGES_N, strategy=Strategy.GREEDY_CROWD_AVOIDING,
+                              max_days=TAU_CAP_FACTOR * STAGES_N)
+    summary = run_ensemble(config, TAU_RUNS, BASE_SEED)
+    ratios = np.array([r.tau for r in summary.per_run]) / STAGES_N
+    law = math.pi**2 / 3
+    se = ratios.std(ddof=1) / np.sqrt(len(ratios))
+    z = (ratios.mean() - law) / se
+    print(f"greedy tau/N at N = {STAGES_N}: {TAU_RUNS} runs, mean {ratios.mean():.3f} "
+          f"against {law:.3f}, SD {ratios.std(ddof=1):.3f}, z = {z:+.2f}, "
+          f"converged {summary.converged_fraction:.2f}")
+    assert summary.converged_fraction == 1.0
+    assert abs(z) <= 4
 
 
 def test_chi2_tail_matches_known_values():

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kpr_lab.engine import run
@@ -15,6 +15,7 @@ from kpr_lab.stats import (
     exact_random_utilization,
     world_lines,
 )
+from reference import losers_of, reference_dispersion, reference_world_lines
 
 
 def enumerate_day_one_utilization(n: int) -> float:
@@ -50,9 +51,9 @@ class TestExactRandomUtilization:
 
 
 def make_result_with_history(flags: np.ndarray, tau: int) -> object:
+    """A run whose recorded losers are those of a (days, n) flag matrix."""
     from kpr_lab.model import RunResult
 
-    days = len(flags)
     n = flags.shape[1]
     f_series = flags.mean(axis=1)
     return RunResult(
@@ -62,13 +63,25 @@ def make_result_with_history(flags: np.ndarray, tau: int) -> object:
         f_s=1.0,
         final_rates=100.0 * flags[: max(tau, 1)].sum(axis=0) / max(tau, 1),
         converged=True,
-        success_history=flags,
+        losers=losers_of(flags),
     )
 
 
 def line_matrix(result) -> np.ndarray:
     """The world lines of a run as (days, n) columns, for comparisons."""
     return np.column_stack(list(world_lines(result)))
+
+
+@st.composite
+def flag_histories(draw):
+    """A random (days, n) flag matrix and a tau in [0, days]; from three
+    agents on, the first never loses and the last always does."""
+    days, n = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    flags = rng.random((days, n)) < draw(st.floats(0.0, 1.0))
+    if n >= 3:
+        flags[:, 0], flags[:, -1] = True, False
+    return flags, draw(st.integers(0, days))
 
 
 class TestWorldLines:
@@ -111,20 +124,35 @@ class TestWorldLines:
         days = np.arange(1, 251)[:, None]
         assert pct.tobytes() == (100.0 * np.cumsum(flags[:250], axis=0) / days).tobytes()
 
+    @settings(deadline=None)
+    @given(flag_histories())
+    @example((np.array([[True, False], [False, True]]), 0))  # tau = 0: day 1 only
+    @example((np.ones((7, 3), dtype=bool), 7))  # nobody ever loses
+    @example((np.zeros((7, 3), dtype=bool), 5))  # everybody always loses
+    def test_losers_give_the_flag_oracles_bytes(self, history):
+        flags, tau = history
+        result = make_result_with_history(flags, tau)
+        assert line_matrix(result).tobytes() == reference_world_lines(flags, tau).tobytes()
+        assert dispersion_summary(result) == reference_dispersion(flags, tau)
+
     def test_reads_one_line_at_a_time(self):
-        # the flags exist already; reading every line may hold a few lines,
-        # never a (days, n) float matrix
+        # the losers exist already; reading every line may hold a few copies
+        # of them (sorted by agent) and a few lines, never a (days, n) float
+        # matrix
         flags = np.random.default_rng(3).random((2000, 200)) < 0.7
         result = make_result_with_history(flags, tau=2000)
-        line_bytes = 2000 * np.dtype(np.float64).itemsize
+        loser_bytes = sum(day.nbytes for day in result.losers)
+        matrix_bytes = flags.size * np.dtype(np.float64).itemsize
         tracemalloc.start()
         try:
             count = sum(1 for _ in world_lines(result))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        print(f"world lines peak: {peak / loser_bytes:.2f} of the losers' bytes")
         assert count == 200
-        assert peak < 8 * line_bytes
+        assert peak < 4 * loser_bytes
+        assert peak < matrix_bytes / 2
 
 
 class TestDispersionSummary:

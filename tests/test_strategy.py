@@ -3,8 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kpr_lab.engine import JUMP_COST_UNIFORMS, WorldState, sample_choices_vectorized, uniforms_at
-from kpr_lab.model import Strategy
+from kpr_lab.engine import (
+    JUMP_COST_UNIFORMS,
+    init_day_one,
+    sample_choices_vectorized,
+    uniforms_at,
+)
+from kpr_lab.model import SimulationConfig, Strategy
 from reference import AgentState, sample_choice, stay_probability
 
 CA = Strategy.CROWD_AVOIDING
@@ -131,7 +136,7 @@ class TestVectorizedSampling:
         rng = np.random.default_rng(3)
         last = np.arange(n)
         crowd = np.full(n, 2)
-        state = WorldState(n, CA)
+        state, _ = init_day_one(SimulationConfig(n=n, strategy=CA), np.random.default_rng(0))
         stays = 0
         rounds = 200
         for _ in range(rounds):
@@ -174,7 +179,7 @@ class TestVectorizedSampling:
         rng = np.random.default_rng(5)
         last = np.full(n, 2)
         crowd = np.full(n, 10**9)  # stay probability ~ 0
-        state = WorldState(n, CA)
+        state, _ = init_day_one(SimulationConfig(n=n, strategy=CA), np.random.default_rng(0))
         for _ in range(200):
             choices = sample_choices_vectorized(CA, 1.0, last, crowd, None, n, rng, state)
             assert not np.any(choices == 2)
