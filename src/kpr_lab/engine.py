@@ -29,6 +29,8 @@ all n agents.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from .model import RunResult, SimulationConfig, Strategy
@@ -406,7 +408,8 @@ def run(config: SimulationConfig) -> RunResult:
     the full horizon, since their saturation statistics come from the tail.
     Only greedy runs keep each agent's final success rate, read from the
     live counts.  Each day's losers (its unserved agents, ascending, as
-    int32) are kept only when the config records history.
+    int32) are kept only when the config records history, appended to one
+    growing buffer, so no day keeps an array of its own.
     """
     rng = np.random.default_rng(config.seed)
     max_days = config.effective_max_days
@@ -414,11 +417,14 @@ def run(config: SimulationConfig) -> RunResult:
 
     state, f = init_day_one(config, rng)
     f_values = [f]
-    losers = [] if config.record_history else None
+    # one int32 buffer grown by realloc (about 1/16 spare), no array a day
+    losers, offsets = (array("i"), array("q", [0])) if config.record_history else (None, None)
 
     while True:
         if losers is not None:
-            losers.append(np.logical_not(state.was_served).nonzero()[0].astype(np.int32))
+            day_losers = np.logical_not(state.was_served).nonzero()[0]
+            losers.frombytes(day_losers.astype(np.int32).tobytes())
+            offsets.append(len(losers))
         if state.day >= max_days or (greedy and f_values[-1] == 1.0):
             break
         f_values.append(step_day(state, config, rng))
@@ -440,5 +446,6 @@ def run(config: SimulationConfig) -> RunResult:
         f_s=f_s,
         final_rates=final_rates,
         converged=converged,
-        losers=losers,
+        losers=None if losers is None else np.frombuffer(losers, dtype=np.int32),
+        loser_offsets=None if offsets is None else np.frombuffer(offsets, dtype=np.int64),
     )

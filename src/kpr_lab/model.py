@@ -82,9 +82,11 @@ class RunResult:
     each agent's cumulative success percentage at day max(tau, 1) for a
     greedy run, and is None for random and crowd-avoiding runs; the world
     lines of a history-recording run (stats.world_lines, one array per
-    agent) end in any run's rates.  ``losers`` holds each day's unserved
-    agents, one ascending int32 array per day played, kept only when the
-    config records history; no other per-day array outlives the run.
+    agent) end in any run's rates.  ``losers`` holds every day's unserved
+    agents as one int32 array, day after day, each day's ascending; day t's
+    are ``losers[loser_offsets[t - 1]:loser_offsets[t]]``.  Both are kept
+    only when the config records history; no other per-day array outlives
+    the run.
     """
 
     config: SimulationConfig
@@ -93,7 +95,8 @@ class RunResult:
     f_s: float
     final_rates: np.ndarray | None
     converged: bool
-    losers: list[np.ndarray] | None = None
+    losers: np.ndarray | None = None
+    loser_offsets: np.ndarray | None = None
 
     @property
     def days(self) -> int:

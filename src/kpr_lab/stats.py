@@ -1,7 +1,7 @@
 """Estimators and analytic baselines: the occupancy formula, the success
 percentage, the world lines (each agent's cumulative success percentages,
-one array per agent, read from a run's per-day losers), their dispersion
-and finite-size extrapolation."""
+one array per agent, read from the losers a run records each day), their
+dispersion and finite-size extrapolation."""
 
 from __future__ import annotations
 
@@ -34,36 +34,40 @@ def world_lines(result: RunResult) -> Iterator[np.ndarray]:
     """Each agent's cumulative success percentages, day 1 to max(tau, 1):
     one array per agent, in agent order, whose entry t-1 is day t.  Requires
     the run to have recorded its losers (config.record_history)."""
-    losers = _rate_losers(result)
-    days = np.arange(1, len(losers) + 1)
-    # one (agent, day) key per loss, sorted in place: each agent's loss
-    # days, ascending, in agent order
-    keys = np.concatenate(losers, dtype=np.int64)
-    ends = np.bincount(keys, minlength=result.config.n).cumsum().tolist()
-    keys *= len(days) + 1
-    keys += np.repeat(days.astype(np.int32), [len(day) for day in losers])
-    keys.sort()
-    keys %= len(days) + 1
-    return (
-        success_percentages(np.searchsorted(keys[start:end], days, "right"), days)
-        for start, end in zip([0] + ends, ends)
-    )
+    losers, offsets = _rate_losers(result)
+    return _lines(losers, offsets, result.config.n)
+
+
+def _lines(losers: np.ndarray, offsets: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    # each day's losers are ascending and agents are read in that order:
+    # cursor[t] is day t's first loser not read yet, and agent i lost on day
+    # t if it is that one; L_i(t), its losses up to day t, is their cumsum.
+    # Float days hold whole numbers exactly and spare each line a cast buffer
+    days = np.arange(1.0, len(offsets))
+    cursor, ends = offsets[:-1].copy(), offsets[1:]
+    for i in range(n):
+        lost = cursor < ends
+        if len(losers):  # a take needs something to read; the clipped reads are masked out
+            lost &= losers.take(cursor, mode="clip") == i
+        cursor += lost
+        yield success_percentages(lost.cumsum(), days)
 
 
 def dispersion_summary(result: RunResult) -> tuple[float, float, float]:
     """(min, max, spread) of the agents' cumulative success percentages on
     day max(tau, 1), the last entry of each world line."""
-    losers = _rate_losers(result)
-    losses = np.bincount(np.concatenate(losers), minlength=result.config.n)
-    finals = success_percentages(losses, len(losers))
+    losers, offsets = _rate_losers(result)
+    finals = success_percentages(np.bincount(losers, minlength=result.config.n), len(offsets) - 1)
     lo, hi = float(finals.min()), float(finals.max())
     return lo, hi, hi - lo
 
 
-def _rate_losers(result: RunResult) -> list[np.ndarray]:
+def _rate_losers(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
+    """The losers and day offsets of days 1 to max(tau, 1)."""
     if result.losers is None:
         raise ValueError("run did not record history; enable record_history")
-    return result.losers[: max(result.tau, 1)]
+    offsets = result.loser_offsets[: max(result.tau, 1) + 1]
+    return result.losers[: offsets[-1]], offsets
 
 
 def estimate_fs_extrapolation(rows: tuple[EnsembleSummary, ...]) -> tuple[float, float]:

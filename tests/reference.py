@@ -94,9 +94,12 @@ def reference_fnum(x: float) -> str:
     return text
 
 
-def losers_of(flags: np.ndarray) -> list[np.ndarray]:
-    """Each day's unserved agents, ascending, as a run records them."""
-    return [np.flatnonzero(~served).astype(np.int32) for served in flags]
+def losers_of(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each day's unserved agents, ascending, day after day, and the day
+    offsets into them, as a run records them."""
+    days, agents = np.nonzero(~flags)
+    offsets = np.searchsorted(days, np.arange(len(flags) + 1))
+    return agents.astype(np.int32), offsets
 
 
 def reference_world_lines(flags: np.ndarray, tau: int) -> np.ndarray:

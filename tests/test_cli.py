@@ -350,9 +350,9 @@ class TestWorldlinesCommand:
 
 def _write_peak_bytes(path, days, n):
     """tracemalloc peak of writing the world lines of the losers of a
-    (days, n) flag history, both made beforehand: each line is computed as
-    the writer reads it."""
+    (days, n) flag history made beforehand."""
     flags = np.random.default_rng(0).random((days, n)) < 0.6
+    losers, offsets = losers_of(flags)
     result = RunResult(
         config=SimulationConfig(n=n, strategy=Strategy.CROWD_AVOIDING),
         f_series=flags.mean(axis=1),
@@ -360,12 +360,12 @@ def _write_peak_bytes(path, days, n):
         f_s=0.6,
         final_rates=None,
         converged=True,
-        losers=losers_of(flags),
+        losers=losers,
+        loser_offsets=offsets,
     )
-    lines = stats.world_lines(result)
     tracemalloc.start()
     try:
-        cli.write_worldlines(path, lines)
+        cli.write_worldlines(path, stats.world_lines(result))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -184,7 +184,8 @@ def test_interleaved_runs_match_their_solo_runs():
     for cfg, state, f in zip(configs, states, series):
         solo = run(dataclasses.replace(cfg, record_history=True))
         assert np.array(f).tobytes() == solo.f_series.tobytes()
-        assert np.array_equal(np.flatnonzero(~state.was_served), solo.losers[-1])
+        last_day = solo.losers[solo.loser_offsets[-2]:]
+        assert np.array_equal(np.flatnonzero(~state.was_served), last_day)
 
 
 def dense_greedy_day(state: WorldState, n: int, rng: np.random.Generator) -> float:
@@ -404,10 +405,12 @@ class TestRun:
     def test_history_recording_shape(self):
         cfg = SimulationConfig(n=20, strategy=GCA, seed=9, record_history=True)
         result = run(cfg)
-        assert result.losers is not None
-        assert len(result.losers) == result.days
-        for day, f in zip(result.losers, result.f_series):
-            assert day.dtype == np.int32
+        offsets = result.loser_offsets
+        assert result.losers.dtype == np.int32
+        assert len(offsets) == result.days + 1
+        assert offsets[0] == 0 and offsets[-1] == len(result.losers)
+        for start, end, f in zip(offsets[:-1], offsets[1:], result.f_series):
+            day = result.losers[start:end]
             assert np.all(np.diff(day) > 0) and np.all((day >= 0) & (day < 20))
             assert len(day) == 20 - round(f * 20)  # one served agent per occupied restaurant
 
@@ -429,7 +432,7 @@ class TestRun:
         assert lean.tau == full.tau
         assert np.array_equal(lean.final_rates, full.final_rates)
         day = max(full.tau, 1)
-        losses = np.bincount(np.concatenate(full.losers[:day]), minlength=n)
+        losses = np.bincount(full.losers[: full.loser_offsets[day]], minlength=n)
         recount = 100.0 * (day - losses) / day
         assert np.array_equal(full.final_rates, recount)
         lo, hi, _ = dispersion_summary(full)
@@ -467,6 +470,6 @@ class TestRun:
         )
         day = max(result.tau, 1)
         assert 1 < day < result.days  # tau = 7: a recount over several days
-        losses = np.bincount(np.concatenate(result.losers[:day]), minlength=30)
+        losses = np.bincount(result.losers[: result.loser_offsets[day]], minlength=30)
         recount = 100.0 * (day - losses) / day
         assert np.array_equal([line[-1] for line in world_lines(result)], recount)

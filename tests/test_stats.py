@@ -56,6 +56,7 @@ def make_result_with_history(flags: np.ndarray, tau: int) -> object:
 
     n = flags.shape[1]
     f_series = flags.mean(axis=1)
+    losers, offsets = losers_of(flags)
     return RunResult(
         config=SimulationConfig(n=n, strategy=Strategy.GREEDY_CROWD_AVOIDING),
         f_series=f_series,
@@ -63,7 +64,8 @@ def make_result_with_history(flags: np.ndarray, tau: int) -> object:
         f_s=1.0,
         final_rates=100.0 * flags[: max(tau, 1)].sum(axis=0) / max(tau, 1),
         converged=True,
-        losers=losers_of(flags),
+        losers=losers,
+        loser_offsets=offsets,
     )
 
 
@@ -136,23 +138,20 @@ class TestWorldLines:
         assert dispersion_summary(result) == reference_dispersion(flags, tau)
 
     def test_reads_one_line_at_a_time(self):
-        # the losers exist already; reading every line may hold a few copies
-        # of them (sorted by agent) and a few lines, never a (days, n) float
-        # matrix
+        # the losers exist already; reading every line may hold a few lines,
+        # never a (days, n) float matrix
         flags = np.random.default_rng(3).random((2000, 200)) < 0.7
         result = make_result_with_history(flags, tau=2000)
-        loser_bytes = sum(day.nbytes for day in result.losers)
-        matrix_bytes = flags.size * np.dtype(np.float64).itemsize
+        line_bytes = 2000 * np.dtype(np.float64).itemsize
         tracemalloc.start()
         try:
             count = sum(1 for _ in world_lines(result))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        print(f"world lines peak: {peak / loser_bytes:.2f} of the losers' bytes")
+        print(f"world lines peak: {peak / line_bytes:.2f} lines")
         assert count == 200
-        assert peak < 4 * loser_bytes
-        assert peak < matrix_bytes / 2
+        assert peak < 8 * line_bytes
 
 
 class TestDispersionSummary:
