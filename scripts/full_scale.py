@@ -3,13 +3,16 @@
 
 Runs the greedy strategy at N = 51200 (where convergence takes on the order
 of 1.5e5 to 3e5 days) and, optionally, the crowd-avoiding row at the same
-size.  A greedy run took 6-14 s on a 2-vCPU VM (seeds 0-2).
+size.  A greedy run took 6-14 s on a 2-vCPU VM (seeds 0-2).  Each run's
+wall time is read from a monotonic clock; after the runs the script prints
+the process's peak resident set size.
 
 Usage:
     python scripts/full_scale.py [--runs K] [--seed S] [--ca]
 """
 
 import argparse
+import resource
 import time
 
 import numpy as np
@@ -44,13 +47,13 @@ def main(argv: list[str] | None = None) -> None:
             strategy=Strategy.GREEDY_CROWD_AVOIDING,
             seed=derive_seed(args.seed, i),
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = run(cfg)
         taus.append(result.tau)
         print(
             f"greedy N={N_FULL} run {i}: tau={result.tau} "
             f"tau/N={result.tau / N_FULL:.3f} converged={result.converged} "
-            f"[{time.time() - t0:.0f}s]"
+            f"[{time.perf_counter() - t0:.0f}s]"
         )
     if len(taus) > 1:
         ratios = np.array(taus) / N_FULL
@@ -61,12 +64,16 @@ def main(argv: list[str] | None = None) -> None:
         cfg = SimulationConfig(
             n=N_FULL, strategy=Strategy.CROWD_AVOIDING, seed=args.seed
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = run(cfg)
         print(
             f"crowd-avoiding N={N_FULL}: f_s={result.f_s:.4f} tau={result.tau} "
-            f"[{time.time() - t0:.0f}s]"
+            f"[{time.perf_counter() - t0:.0f}s]"
         )
+
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS: {peak_mb:.1f} MB")
 
 
 if __name__ == "__main__":

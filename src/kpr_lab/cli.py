@@ -87,12 +87,23 @@ def _write_blocks(path: Path, blocks: Iterable[list[str]]) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
+# days per block of timeseries rows, so that the rows held at once do not
+# grow with the run
+TIMESERIES_BLOCK_DAYS = 4096
+
+
 def write_timeseries(path: Path, result) -> None:
-    n = result.config.n
-    lines = ["t,f,served_count"]
-    for t, f in enumerate(result.f_series, start=1):
-        lines.append(f"{t},{fnum(f)},{int(round(f * n))}")
-    _write_blocks(path, [lines])
+    """One row per day (t, f, served count), written TIMESERIES_BLOCK_DAYS
+    days at a time, each block's values read from f_series by one tolist."""
+    n, f_series = result.config.n, result.f_series
+
+    def blocks():
+        yield ["t,f,served_count"]
+        for start in range(0, len(f_series), TIMESERIES_BLOCK_DAYS):
+            values = f_series[start:start + TIMESERIES_BLOCK_DAYS].tolist()
+            yield [f"{t},{fnum(f)},{round(f * n)}" for t, f in enumerate(values, start + 1)]
+
+    _write_blocks(path, blocks())
 
 
 def write_sweep(path: Path, variable: SweepVariable, rows) -> None:

@@ -407,17 +407,19 @@ def run(config: SimulationConfig) -> RunResult:
     day with everyone alone repeats forever); the other strategies always run
     the full horizon, since their saturation statistics come from the tail.
     Only greedy runs keep each agent's final success rate, read from the
-    live counts.  Each day's losers (its unserved agents, ascending, as
+    live counts.  Each day's f goes into one growing float64 buffer, which
+    the result's ``f_series`` views without a copy: 8 bytes a day, no float
+    object per day.  Each day's losers (its unserved agents, ascending, as
     int32) are kept only when the config records history, appended to one
-    growing buffer, so no day keeps an array of its own.
+    growing buffer too, so no day keeps an array of its own.
     """
     rng = np.random.default_rng(config.seed)
     max_days = config.effective_max_days
     greedy = config.strategy is Strategy.GREEDY_CROWD_AVOIDING
 
     state, f = init_day_one(config, rng)
-    f_values = [f]
-    # one int32 buffer grown by realloc (about 1/16 spare), no array a day
+    # typed buffers grown by realloc (about 1/16 spare), no object a day
+    f_values = array("d", [f])
     losers, offsets = (array("i"), array("q", [0])) if config.record_history else (None, None)
 
     while True:
@@ -429,7 +431,7 @@ def run(config: SimulationConfig) -> RunResult:
             break
         f_values.append(step_day(state, config, rng))
 
-    f_series = np.array(f_values)
+    f_series = np.frombuffer(f_values)
     tau, f_s, converged = detect_convergence(f_series, config.strategy, config.n)
 
     final_rates = None

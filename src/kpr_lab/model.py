@@ -77,8 +77,10 @@ class SimulationConfig:
 class RunResult:
     """Everything measured from one run.
 
-    ``tau`` counts the days strictly before the first converged day, so a
-    run that is converged from day 1 has ``tau = 0``.  ``final_rates`` holds
+    ``f_series`` holds day t's utilization at entry t-1: a float64 view of
+    the buffer the run appended each day's f to, not a copy.  ``tau``
+    counts the days strictly before the first converged day, so a run that
+    is converged from day 1 has ``tau = 0``.  ``final_rates`` holds
     each agent's cumulative success percentage at day max(tau, 1) for a
     greedy run, and is None for random and crowd-avoiding runs; the world
     lines of a history-recording run (stats.world_lines, one array per

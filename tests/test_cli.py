@@ -3,6 +3,8 @@ import dataclasses
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +18,9 @@ from kpr_lab import cli, stats
 from kpr_lab.cli import fnum, main
 from kpr_lab.model import RunResult, SimulationConfig, Strategy
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SRC = ROOT / "src"
 
 
 def read(path):
@@ -393,6 +397,53 @@ def test_worldlines_command_makes_no_float_matrix(tmp_path):
     matrix_bytes = days * n * np.dtype(np.float64).itemsize
     print(f"worldlines peak: {peak / matrix_bytes:.2f} of a (days, n) float matrix")
     assert peak < matrix_bytes / 2
+
+
+def test_timeseries_rows_stream_in_blocks_of_days(tmp_path):
+    # rows held at once stay one block's worth: a list of every row and its
+    # joined copy took about 110 bytes a day
+    days, n = 100_000, 1000
+    result = RunResult(
+        config=SimulationConfig(n=n, strategy=Strategy.CROWD_AVOIDING),
+        f_series=np.random.default_rng(0).integers(0, n + 1, days) / n,
+        tau=0,
+        f_s=0.75,
+        final_rates=None,
+        converged=True,
+    )
+    path = tmp_path / "timeseries.csv"
+    cli.write_timeseries(path, result)
+    tracemalloc.start()
+    try:
+        cli.write_timeseries(path, result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = path.read_text().splitlines()
+    assert len(rows) == days + 1
+    assert rows[-1] == f"{days},{fnum(result.f_series[-1])},{round(result.f_series[-1] * n)}"
+    print(f"write_timeseries peak: {peak / days:.1f} bytes a day")
+    assert peak < 16 * days
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--strategy", "gca", "--n", "40"],
+    ["worldlines", "--strategy", "gca", "--n", "40"],
+    ["sweep", "--strategy", "ca", "--variable", "n", "--values", "20,30", "--runs", "2",
+     "--max-days", "50", "--threads", "1"],
+], ids=["run", "worldlines", "sweep-threads-1"])
+def test_commands_without_a_pool_load_no_multiprocessing(tmp_path, argv):
+    # only a pooled ensemble imports the process pool and its ~1.8 MB of modules
+    code = (
+        "import sys\n"
+        "from kpr_lab import cli\n"
+        f"assert cli.main({argv + ['--out', str(tmp_path)]!r}) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('multiprocessing', 'concurrent.futures.process'))))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout == "[]\n"
 
 
 class TestExitCodes:

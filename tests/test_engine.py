@@ -402,6 +402,22 @@ class TestRun:
         assert np.all((result.f_series >= 0) & (result.f_series <= 1))
         assert result.final_rates is None
 
+    def test_f_series_costs_a_typed_entry_a_day(self):
+        # each day's f goes into one float64 buffer that f_series views: a
+        # list of float objects and its array copy took about 45 bytes a day
+        days = 20_000
+        cfg = SimulationConfig(n=20, strategy=RANDOM, seed=1, max_days=days)
+        run(cfg)
+        tracemalloc.start()
+        try:
+            result = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.days == days
+        print(f"random run peak: {peak / days:.1f} bytes a day")
+        assert peak < 16 * days
+
     def test_history_recording_shape(self):
         cfg = SimulationConfig(n=20, strategy=GCA, seed=9, record_history=True)
         result = run(cfg)

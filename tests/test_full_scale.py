@@ -1,7 +1,9 @@
 """scripts/full_scale.py refuses a run count or seed it cannot honour."""
 
 import importlib.util
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,3 +26,16 @@ def test_invalid_arguments_exit_2_with_one_line(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"full_scale.py: {message}\n"
+
+
+def test_runs_are_timed_and_the_peak_rss_printed(monkeypatch, capsys):
+    # a stand-in for the N = 51200 run; the script reports what it is given
+    def fake_run(cfg):
+        return SimpleNamespace(tau=3 * cfg.n, converged=True, f_s=1.0)
+
+    monkeypatch.setattr(full_scale, "run", fake_run)
+    full_scale.main(["--runs", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("greedy N=51200 run 0: tau=153600 tau/N=3.000 converged=True [")
+    assert lines[2] == "tau/N over 2 runs: mean=3.000 std=0.000"
+    assert re.fullmatch(r"peak RSS: \d+\.\d MB", lines[3])

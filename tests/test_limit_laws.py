@@ -17,8 +17,10 @@ That law is approximate for m > 1, since a mover may also join a crowd of
 two or share an empty restaurant with another mover, but both are rare
 while m is much smaller than N.
 
-Summed over the stages, tau/N tends to sum(2/m**2) = pi**2/3 on average
-(Biane, Pitman & Yor 2001 give its limit law).
+Summed over the stages, tau/N tends to sum(2/m**2) = pi**2/3 on average.
+As a sum of independent exponentials of rates m**2/2, its limit law is
+P(tau/N <= x) = 1 - 2 sum((-1)**(m+1) exp(-m**2 x/2)) (Biane, Pitman & Yor
+2001), so P(tau > 10N) is about 1.35%.
 
 The chi-square tail is written out in numpy, since scipy is not a test
 dependency.
@@ -27,6 +29,7 @@ dependency.
 import math
 
 import numpy as np
+import pytest
 
 from kpr_lab.engine import init_day_one, step_day
 from kpr_lab.model import SimulationConfig, Strategy
@@ -40,6 +43,8 @@ STAGES_RUNS = 150
 STAGES = range(2, 7)
 TAU_RUNS = 100
 TAU_CAP_FACTOR = 40
+TAU_TAIL_FACTOR = 10
+TAU_BINS = 7
 P_LEAVE_TO_EMPTY = 1.0 / (2 * (N - 1))
 # upper ends (days) of 13 wait bins of about equal probability under the
 # law, P(wait <= k) = 1 - (1 - p)**k; the last bin is open
@@ -56,6 +61,23 @@ def chi2_sf_even(x: float, df: int) -> float:
         term *= x / 2 / j
         total += term
     return math.exp(-x / 2) * total
+
+
+def tau_over_n_cdf(x: np.ndarray) -> np.ndarray:
+    """The limit law of a greedy run's tau/N, for x > 0: the terms past
+    m = 60 are below exp(-60**2 x/2), nothing for the x it is used at."""
+    m = np.arange(1, 61)[:, None]
+    return 1 - 2 * ((-1.0) ** (m + 1) * np.exp(-(m**2) * np.asarray(x) / 2)).sum(axis=0)
+
+
+def tau_over_n_quantiles(probabilities: np.ndarray) -> np.ndarray:
+    """Invert tau_over_n_cdf by bisection on [0.1, 40]; it is increasing."""
+    lo, hi = np.full(len(probabilities), 0.1), np.full(len(probabilities), 40.0)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        below = tau_over_n_cdf(mid) < probabilities
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return (lo + hi) / 2
 
 
 def stage_waits(n: int, seed: int, last: int = 1) -> dict[int, int]:
@@ -115,10 +137,17 @@ def test_stage_waits_two_to_six_are_two_n_over_m_squared():
         assert abs(z) <= 4
 
 
-def test_greedy_tau_over_n_averages_pi_squared_over_three():
+@pytest.fixture(scope="module")
+def greedy_runs():
+    """TAU_RUNS greedy runs at N = STAGES_N, capped at TAU_CAP_FACTOR * N
+    days, made once for the tests of tau's limit law."""
     config = SimulationConfig(n=STAGES_N, strategy=Strategy.GREEDY_CROWD_AVOIDING,
                               max_days=TAU_CAP_FACTOR * STAGES_N)
-    summary = run_ensemble(config, TAU_RUNS, BASE_SEED)
+    return run_ensemble(config, TAU_RUNS, BASE_SEED)
+
+
+def test_greedy_tau_over_n_averages_pi_squared_over_three(greedy_runs):
+    summary = greedy_runs
     ratios = np.array([r.tau for r in summary.per_run]) / STAGES_N
     law = math.pi**2 / 3
     se = ratios.std(ddof=1) / np.sqrt(len(ratios))
@@ -128,6 +157,40 @@ def test_greedy_tau_over_n_averages_pi_squared_over_three():
           f"converged {summary.converged_fraction:.2f}")
     assert summary.converged_fraction == 1.0
     assert abs(z) <= 4
+
+
+def test_greedy_tau_over_ten_n_is_as_rare_as_the_limit_law_says(greedy_runs):
+    # the paper's "non-zero probability for an even larger convergence time"
+    p = 1 - tau_over_n_cdf(TAU_TAIL_FACTOR)[0]
+    late = sum(r.tau > TAU_TAIL_FACTOR * STAGES_N for r in greedy_runs.per_run)
+    expected = TAU_RUNS * p
+    se = math.sqrt(TAU_RUNS * p * (1 - p))
+    print(f"greedy tau > {TAU_TAIL_FACTOR}N at N = {STAGES_N}: {late} of {TAU_RUNS} runs "
+          f"against {expected:.2f} (SE {se:.2f})")
+    assert abs(p - 0.0135) < 5e-4
+    assert abs(late - expected) <= 4 * se
+
+
+def test_greedy_tau_over_n_follows_the_limit_law(greedy_runs):
+    # TAU_BINS bins of equal probability under the law; the last is open
+    ends = tau_over_n_quantiles(np.arange(1, TAU_BINS) / TAU_BINS)
+    ratios = np.array([r.tau for r in greedy_runs.per_run]) / STAGES_N
+    observed = np.bincount(np.searchsorted(ends, ratios), minlength=TAU_BINS)
+    expected = TAU_RUNS / TAU_BINS
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    p_value = chi2_sf_even(chi2, TAU_BINS - 1)
+    print(f"greedy tau/N at N = {STAGES_N}: bins {observed.tolist()}, "
+          f"chi2 = {chi2:.2f} on {TAU_BINS - 1} df, p = {p_value:.3g}")
+    assert p_value >= 1e-3
+
+
+def test_tau_over_n_law_matches_its_mean_and_quantiles():
+    # its mean, the integral of 1 - CDF, is sum(2/m**2) = pi**2/3
+    x = np.linspace(0.05, 60, 200_000)
+    mean = 0.05 + np.trapezoid(1 - tau_over_n_cdf(x), x)
+    assert abs(mean - math.pi**2 / 3) < 1e-3
+    probabilities = np.arange(1, TAU_BINS) / TAU_BINS
+    assert np.allclose(tau_over_n_cdf(tau_over_n_quantiles(probabilities)), probabilities)
 
 
 def test_chi2_tail_matches_known_values():

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kpr_lab import orchestrator
 from kpr_lab.engine import run
 from kpr_lab.model import SimulationConfig, Strategy
 from kpr_lab.orchestrator import (
@@ -89,7 +88,8 @@ class TestRunEnsemble:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", RecordingPool)
+        # run_ensemble imports the pool class from its module when it starts one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         cfg = SimulationConfig(n=10, strategy=CA, max_days=20)
         run_ensemble(cfg, runs=2, base_seed=0, max_workers=16)
         run_ensemble(cfg, runs=5, base_seed=0, max_workers=3)
