@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import engine, stats
 from .model import SimulationConfig, Strategy
-from .orchestrator import SweepPlan, SweepVariable, run_ensemble, run_sweep
+from .orchestrator import run_ensemble, run_sweep
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -106,10 +106,10 @@ def write_timeseries(path: Path, result) -> None:
     _write_blocks(path, blocks())
 
 
-def write_sweep(path: Path, variable: SweepVariable, rows) -> None:
+def write_sweep(path: Path, variable: str, rows) -> None:
     lines = ["value,fs_mean,fs_std,tau_mean,tau_std,runs,converged_fraction"]
     for row in rows:
-        value = row.config.n if variable is SweepVariable.N else fnum(row.config.alpha)
+        value = row.config.n if variable == "n" else fnum(row.config.alpha)
         lines.append(
             f"{value},{fnum(row.fs_mean)},{fnum(row.fs_std)},"
             f"{fnum(row.tau_mean)},{fnum(row.tau_std)},{row.runs},"
@@ -189,39 +189,32 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Every config is built and checked before the first run: an n-sweep
+    reads --alpha, an alpha sweep reads --n."""
     strategy = Strategy(args.strategy)
-    variable = SweepVariable(args.variable)
-    if variable is SweepVariable.N:
-        values = tuple(int(v) for v in args.values.split(","))
-        base_n = values[0]
-    else:
-        values = tuple(float(v) for v in args.values.split(","))
-        base_n = args.n
-        if base_n is None:
-            raise ValueError("sweep over alpha requires --n")
-    config = SimulationConfig(
-        n=base_n, strategy=strategy, alpha=args.alpha, max_days=args.max_days
-    )
-    plan = SweepPlan(
-        base_config=config,
-        variable=variable,
-        values=values,
-        runs_per_value=args.runs,
-        base_seed=args.seed,
-    )
-    rows = run_sweep(plan, max_workers=args.threads)
+    by_n = args.variable == "n"
+    values = [int(v) if by_n else float(v) for v in args.values.split(",")]
+    if not by_n and args.n is None:
+        raise ValueError("sweep over alpha requires --n")
+    if not by_n and strategy is not Strategy.CROWD_AVOIDING:
+        raise ValueError(f"{strategy.value} ignores alpha; only ca runs can sweep it")
+    fixed = dict(n=args.n, strategy=strategy, alpha=args.alpha, max_days=args.max_days)
+    configs = [SimulationConfig(**{**fixed, args.variable: v}) for v in values]
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("sweep values must be strictly increasing")
+    rows = run_sweep(configs, args.runs, args.seed, max_workers=args.threads)
     out = Path(args.out)
-    write_sweep(out / "sweep.csv", variable, rows)
+    write_sweep(out / "sweep.csv", args.variable, rows)
     entries: list[tuple[str, object]] = [
         ("command", "sweep"),
         ("strategy", strategy.value),
-        ("variable", variable.value),
+        ("variable", args.variable),
         ("values", args.values),
         ("runs_per_value", args.runs),
         ("base_seed", args.seed),
         ("converged_fraction_min", min(r.converged_fraction for r in rows)),
     ]
-    if variable is SweepVariable.N and len(rows) >= 3:
+    if by_n and len(rows) >= 3:
         intercept, slope = stats.estimate_fs_extrapolation(rows)
         entries.append(("fs_extrapolated_intercept", intercept))
         entries.append(("fs_vs_inverse_n_slope", slope))
@@ -265,19 +258,17 @@ def cmd_figures(args) -> int:
         config = SimulationConfig(n=1600, strategy=strategy, seed=FIGURE_SEEDS[run_fig])
         typical = engine.run(config)
         write_timeseries(out / run_fig / "timeseries.csv", typical)
-        plan = SweepPlan(
-            base_config=SimulationConfig(n=100, strategy=strategy),
-            variable=SweepVariable.N,
-            values=tuple(float(v) for v in sweep_ns),
-            runs_per_value=args.runs,
-            base_seed=FIGURE_SEEDS[sweep_fig],
+        rows = run_sweep(
+            [SimulationConfig(n=n, strategy=strategy) for n in sweep_ns],
+            args.runs,
+            FIGURE_SEEDS[sweep_fig],
+            max_workers=workers,
         )
-        rows = run_sweep(plan, max_workers=workers)
-        write_sweep(out / sweep_fig / "sweep.csv", SweepVariable.N, rows)
+        write_sweep(out / sweep_fig / "sweep.csv", "n", rows)
         converged &= typical.converged and all(r.converged_fraction == 1.0 for r in rows)
         if strategy is Strategy.CROWD_AVOIDING:
             intercept, slope = stats.estimate_fs_extrapolation(rows)
-            write_sweep(out / run_fig / "sweep.csv", SweepVariable.N, rows)
+            write_sweep(out / run_fig / "sweep.csv", "n", rows)
             write_summary(
                 out / run_fig / "summary.txt",
                 [
@@ -373,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=1.0)
         p.add_argument("--seed", type=int, default=os.environ.get("KPR_SEED", "0"))
         p.add_argument("--max-days", type=int)
-    p_sweep.add_argument("--variable", choices=[v.value for v in SweepVariable],
-                         required=True)
+    p_sweep.add_argument("--variable", choices=["n", "alpha"], required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated list")
     p_fig.add_argument("--full", action="store_true")
     for p in (p_sweep, p_fig):

@@ -3,19 +3,19 @@
 Each run of an ensemble gets its seed from a stateless 64-bit mix of
 (base_seed, run_index), so results never depend on scheduling: the same
 (config, runs, base_seed) triple produces identical summaries whether runs
-execute serially or across worker processes.
+execute serially or across worker processes.  A sweep is the list of
+configs its caller built, one ensemble per config, each row seeded from
+its own (n, alpha).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import engine
-from .model import EnsembleSummary, RunSummary, SimulationConfig, Strategy, check_seed
+from .model import EnsembleSummary, RunSummary, SimulationConfig, check_seed
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -27,47 +27,6 @@ def derive_seed(base_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-class SweepVariable(Enum):
-    N = "n"
-    ALPHA = "alpha"
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    """A sweep: one ensemble per value of n or alpha.
-
-    Every value's config is built on construction, so a value that makes
-    an invalid config fails before any run.
-    """
-
-    base_config: SimulationConfig
-    variable: SweepVariable
-    values: tuple[float, ...]
-    runs_per_value: int = 30
-    base_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("sweep needs at least one value")
-        strategy = self.base_config.strategy
-        if self.variable is SweepVariable.ALPHA and strategy is not Strategy.CROWD_AVOIDING:
-            raise ValueError(f"{strategy.value} ignores alpha; only ca runs can sweep it")
-        for value in self.values:
-            self.config_for(value)
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("sweep values must be strictly increasing")
-        if self.runs_per_value < 1:
-            raise ValueError("runs_per_value must be >= 1")
-        check_seed(self.base_seed)
-
-    def config_for(self, value: float) -> SimulationConfig:
-        if self.variable is SweepVariable.N:
-            if not float(value).is_integer():
-                raise ValueError(f"sweep over n needs whole numbers, got {value}")
-            return dataclasses.replace(self.base_config, n=int(value))
-        return dataclasses.replace(self.base_config, alpha=float(value))
 
 
 def _run_one(config: SimulationConfig) -> RunSummary:
@@ -140,15 +99,17 @@ def _row_seed(base_seed: int, config: SimulationConfig) -> int:
     return derive_seed(derive_seed(base_seed, config.n), alpha_bits)
 
 
-def run_sweep(plan: SweepPlan, max_workers: int = 1) -> tuple[EnsembleSummary, ...]:
-    """One ensemble per sweep value, in plan order, each seeded from its own
-    parameters; row i is what run_ensemble returns for plan.values[i]."""
+def run_sweep(configs: list[SimulationConfig], runs: int, base_seed: int,
+              max_workers: int = 1) -> tuple[EnsembleSummary, ...]:
+    """One ensemble of ``runs`` runs per config, in order, each seeded from
+    its config's (n, alpha); row i is what run_ensemble returns for
+    configs[i].  Two configs with the same (n, alpha) would share a seed,
+    so they are rejected before any run."""
+    check_seed(base_seed)  # _row_seed would alias a wider seed
+    keys = [(config.n, float(config.alpha)) for config in configs]
+    if len(set(keys)) < len(keys):
+        raise ValueError("sweep configs must differ in (n, alpha)")
     return tuple(
-        run_ensemble(
-            config,
-            plan.runs_per_value,
-            _row_seed(plan.base_seed, config),
-            max_workers=max_workers,
-        )
-        for config in map(plan.config_for, plan.values)
+        run_ensemble(config, runs, _row_seed(base_seed, config), max_workers=max_workers)
+        for config in configs
     )

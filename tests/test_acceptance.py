@@ -27,13 +27,7 @@ import pytest
 from kpr_lab.cli import main
 from kpr_lab.engine import init_day_one, run, step_day
 from kpr_lab.model import SimulationConfig, Strategy
-from kpr_lab.orchestrator import (
-    SweepPlan,
-    SweepVariable,
-    derive_seed,
-    run_ensemble,
-    run_sweep,
-)
+from kpr_lab.orchestrator import derive_seed, run_ensemble, run_sweep
 from kpr_lab.stats import estimate_fs_extrapolation
 
 CA = Strategy.CROWD_AVOIDING
@@ -52,26 +46,15 @@ def check(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def ca_sweep():
-    plan = SweepPlan(
-        base_config=SimulationConfig(n=100, strategy=CA),
-        variable=SweepVariable.N,
-        values=(100.0, 400.0, 1600.0, 6400.0),
-        runs_per_value=RUNS,
-        base_seed=BASE_SEED,
-    )
-    return run_sweep(plan, max_workers=WORKERS)
+    configs = [SimulationConfig(n=n, strategy=CA) for n in (100, 400, 1600, 6400)]
+    return run_sweep(configs, RUNS, BASE_SEED, max_workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
 def gca_sweep():
-    plan = SweepPlan(
-        base_config=SimulationConfig(n=100, strategy=GCA),  # max_days -> 10n
-        variable=SweepVariable.N,
-        values=(100.0, 400.0, 1600.0),
-        runs_per_value=RUNS,
-        base_seed=BASE_SEED,
-    )
-    return run_sweep(plan, max_workers=WORKERS)
+    # max_days -> 10n
+    configs = [SimulationConfig(n=n, strategy=GCA) for n in (100, 400, 1600)]
+    return run_sweep(configs, RUNS, BASE_SEED, max_workers=WORKERS)
 
 
 def test_01_random_baseline_utilization():
@@ -198,16 +181,9 @@ def test_08_worldline_dispersion():
 
 def test_09_small_alpha_scaling():
     t0 = time.time()
-    cfg = SimulationConfig(n=1600, strategy=CA)
     alphas = (0.05, 0.1, 0.2)
-    plan = SweepPlan(
-        base_config=cfg,
-        variable=SweepVariable.ALPHA,
-        values=alphas,
-        runs_per_value=RUNS,
-        base_seed=BASE_SEED,
-    )
-    table = run_sweep(plan, max_workers=WORKERS)
+    configs = [SimulationConfig(n=1600, strategy=CA, alpha=a) for a in alphas]
+    table = run_sweep(configs, RUNS, BASE_SEED, max_workers=WORKERS)
     fs = [r.fs_mean for r in table]
     taus = [r.tau_mean for r in table]
     increasing = fs[0] > fs[1] > fs[2]  # rows sorted by alpha ascending

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from reference import losers_of, reference_fnum
 
-from kpr_lab import cli, stats
+from kpr_lab import cli, engine, stats
 from kpr_lab.cli import fnum, main
 from kpr_lab.model import RunResult, SimulationConfig, Strategy
 
@@ -499,20 +499,37 @@ class TestExitCodes:
              "--n", "20"],
             ["sweep", "--strategy", "random", "--variable", "alpha", "--values", "0.5,1",
              "--n", "20"],
+            ["sweep", "--strategy", "ca", "--variable", "n", "--values", ""],
+            ["sweep", "--strategy", "ca", "--variable", "n", "--values", "20,20"],
+            ["sweep", "--strategy", "ca", "--variable", "n", "--values", "10,10.5"],
+            ["sweep", "--strategy", "ca", "--variable", "alpha", "--values", "0.5,inf",
+             "--n", "20"],
+            ["sweep", "--strategy", "ca", "--variable", "alpha", "--values", "0,1",
+             "--n", "20"],
+            # the rows before the invalid value would run if configs were
+            # built one row at a time
+            ["sweep", "--strategy", "ca", "--variable", "n", "--values", "10,20,0"],
         ],
         ids=["n-zero", "negative-alpha", "negative-seed", "non-numeric-value",
              "decreasing-values", "alpha-sweep-without-n", "unknown-config-key",
              "zero-threads", "negative-threads", "nan-alpha", "inf-alpha",
              "nan-sweep-value", "sweep-negative-seed", "sweep-seed-above-64-bits",
              "sweep-zero-runs", "figures-zero-runs", "gca-alpha-sweep",
-             "random-alpha-sweep"],
+             "random-alpha-sweep", "empty-values", "repeated-values",
+             "fractional-n-value", "inf-alpha-sweep-value", "zero-alpha-sweep-value",
+             "invalid-last-n-value"],
     )
-    def test_invalid_value_is_a_usage_error(self, args, tmp_path, capsys):
+    def test_invalid_value_is_a_usage_error(self, args, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "bogus.cfg"
         cfg.write_text("bogus=1\n")
         args = [a.format(bogus_cfg=cfg) for a in args]
         if args[0] == "sweep" and "--threads" not in args:
             args += ["--threads", "1"]
+
+        def no_run(config):
+            raise AssertionError(f"n={config.n} ran before every value was checked")
+
+        monkeypatch.setattr(engine, "run", no_run)
         with pytest.raises(SystemExit) as exc:
             main(args + ["--out", str(tmp_path / "d")])
         assert exc.value.code == cli.EXIT_USAGE

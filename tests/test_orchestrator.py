@@ -3,20 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from kpr_lab import engine
 from kpr_lab.engine import run
 from kpr_lab.model import SimulationConfig, Strategy
-from kpr_lab.orchestrator import (
-    SweepPlan,
-    SweepVariable,
-    _row_seed,
-    derive_seed,
-    run_ensemble,
-    run_sweep,
-)
+from kpr_lab.orchestrator import _row_seed, derive_seed, run_ensemble, run_sweep
 
 CA = Strategy.CROWD_AVOIDING
 GCA = Strategy.GREEDY_CROWD_AVOIDING
-RANDOM = Strategy.RANDOM
 
 
 class TestDeriveSeed:
@@ -111,116 +104,52 @@ class TestRunEnsemble:
             run_ensemble(SimulationConfig(n=5, strategy=CA), runs=1, base_seed=base_seed)
 
 
-class TestSweepPlan:
-    def test_rejects_empty_values(self):
-        with pytest.raises(ValueError):
-            SweepPlan(
-                base_config=SimulationConfig(n=10, strategy=CA),
-                variable=SweepVariable.N,
-                values=(),
-            )
-
-    def test_rejects_unsorted_values(self):
-        with pytest.raises(ValueError):
-            SweepPlan(
-                base_config=SimulationConfig(n=10, strategy=CA),
-                variable=SweepVariable.N,
-                values=(100.0, 100.0),
-            )
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
-    def test_rejects_an_alpha_value_before_any_run(self, bad):
-        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
-            SweepPlan(
-                base_config=SimulationConfig(n=10, strategy=CA),
-                variable=SweepVariable.ALPHA,
-                values=(0.5, bad),
-            )
-
-    @pytest.mark.parametrize("strategy", [RANDOM, GCA])
-    def test_rejects_an_alpha_sweep_of_a_strategy_that_ignores_alpha(self, strategy):
-        with pytest.raises(ValueError, match="ignores alpha"):
-            SweepPlan(
-                base_config=SimulationConfig(n=10, strategy=strategy),
-                variable=SweepVariable.ALPHA,
-                values=(0.5, 1.0),
-            )
-
-    @pytest.mark.parametrize("bad", [10.5, float("inf"), float("nan")])
-    def test_rejects_an_n_value_that_is_not_whole(self, bad):
-        with pytest.raises(ValueError, match="whole numbers"):
-            SweepPlan(
-                base_config=SimulationConfig(n=10, strategy=CA),
-                variable=SweepVariable.N,
-                values=(5.0, bad),
-            )
-
-    @pytest.mark.parametrize("base_seed", [-1, 2**64])
-    def test_rejects_a_seed_outside_64_bits(self, base_seed):
-        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
-            SweepPlan(
-                base_config=SimulationConfig(n=10, strategy=CA),
-                variable=SweepVariable.N,
-                values=(10.0,),
-                base_seed=base_seed,
-            )
-
-    def test_config_for_value(self):
-        plan = SweepPlan(
-            base_config=SimulationConfig(n=10, strategy=CA, alpha=0.5),
-            variable=SweepVariable.N,
-            values=(20.0, 40.0),
-        )
-        assert plan.config_for(20.0).n == 20
-        assert plan.config_for(20.0).alpha == 0.5
-
-
 class TestRunSweep:
+    @pytest.mark.parametrize("base_seed,configs,match", [
+        (-1, [SimulationConfig(n=10, strategy=CA)], "seed must fit in 64 bits"),
+        (2**64, [SimulationConfig(n=10, strategy=CA)], "seed must fit in 64 bits"),
+        # the same (n, alpha) is the same row seed, so the rows would not be
+        # independent
+        (0, [SimulationConfig(n=10, strategy=CA, max_days=20),
+             SimulationConfig(n=10, strategy=CA, max_days=40)], "differ in"),
+    ], ids=["-1", "18446744073709551616", "same-n-and-alpha"])
+    def test_rejects_before_any_run(self, base_seed, configs, match, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "run", calls.append)
+        with pytest.raises(ValueError, match=match):
+            run_sweep(configs, 1, base_seed)
+        assert calls == []
+
     def test_rows_are_value_independent(self):
-        base = SimulationConfig(n=10, strategy=CA, max_days=100)
         both = run_sweep(
-            SweepPlan(base, SweepVariable.N, (20.0, 40.0), runs_per_value=4, base_seed=9)
+            [SimulationConfig(n=n, strategy=CA, max_days=100) for n in (20, 40)], 4, 9
         )
-        only = run_sweep(
-            SweepPlan(base, SweepVariable.N, (40.0,), runs_per_value=4, base_seed=9)
-        )
+        only = run_sweep([SimulationConfig(n=40, strategy=CA, max_days=100)], 4, 9)
         assert both[1] == only[0]
 
     def test_alpha_row_matches_n_row_for_same_config(self):
-        # sweeping alpha over {1.0} at n=60 and sweeping n over {60} at
-        # alpha=1 describe the same ensemble
-        base = SimulationConfig(n=60, strategy=CA, max_days=150)
+        # an alpha sweep at n=60 and an n-sweep at alpha=1 share the row
+        # (60, 1.0), and agree on it
         via_alpha = run_sweep(
-            SweepPlan(base, SweepVariable.ALPHA, (1.0,), runs_per_value=5, base_seed=2)
+            [SimulationConfig(n=60, strategy=CA, alpha=a, max_days=150) for a in (0.5, 1.0)],
+            5, 2,
         )
         via_n = run_sweep(
-            SweepPlan(base, SweepVariable.N, (60.0,), runs_per_value=5, base_seed=2)
+            [SimulationConfig(n=n, strategy=CA, max_days=150) for n in (30, 60)], 5, 2
         )
-        a, b = via_alpha[0], via_n[0]
-        assert (a.fs_mean, a.fs_std, a.tau_mean, a.tau_std) == (
-            b.fs_mean,
-            b.fs_std,
-            b.tau_mean,
-            b.tau_std,
-        )
+        assert via_alpha[1] == via_n[1]
 
     def test_table_sorted_and_labeled(self):
-        base = SimulationConfig(n=10, strategy=GCA)
-        rows = run_sweep(
-            SweepPlan(base, SweepVariable.N, (10.0, 20.0), runs_per_value=2, base_seed=1)
-        )
+        rows = run_sweep([SimulationConfig(n=n, strategy=GCA) for n in (10, 20)], 2, 1)
         assert [r.config.n for r in rows] == [10, 20]
         assert all(r.runs == 2 for r in rows)
 
-    @pytest.mark.parametrize("variable,values", [
-        (SweepVariable.N, (20.0, 40.0)),
-        (SweepVariable.ALPHA, (0.5, 1.0)),
+    @pytest.mark.parametrize("field,values", [
+        ("n", (20, 40)),
+        ("alpha", (0.5, 1.0)),
     ], ids=["n", "alpha"])
-    def test_rows_are_the_ensembles(self, variable, values):
+    def test_rows_are_the_ensembles(self, field, values):
         base = SimulationConfig(n=30, strategy=CA, max_days=80)
-        plan = SweepPlan(base, variable, values, runs_per_value=3, base_seed=6)
-        rows = run_sweep(plan)
-        assert rows == tuple(
-            run_ensemble(config, 3, _row_seed(6, config))
-            for config in map(plan.config_for, values)
-        )
+        configs = [dataclasses.replace(base, **{field: v}) for v in values]
+        rows = run_sweep(configs, 3, 6)
+        assert rows == tuple(run_ensemble(c, 3, _row_seed(6, c)) for c in configs)
