@@ -8,16 +8,18 @@ workload it writes, per end-to-end metric and side, the quartiles over the
 pairs, how many pairs the change won, the failed operations, and whether
 the two sides wrote the same output digests at each seed.  ``--faults``
 instead measures minor page faults per simulated day of one crowd-avoiding
-``engine.run`` at each given N, in a fresh process per side and N.
-``--days STRATEGY:N:DAYS[:SEED]`` imports both checkouts' packages into
-this one process and steps ``engine.step_day`` for each, DAY_BLOCK days at
-a time, the side that goes first alternating from block to block: a per-day
-timing fine enough to separate moves smaller than the perfbench pairs'
-spread.  The seed is DAYS_SEED unless given; a greedy line whose DAYS is
-the run's tau at that seed steps the whole run.  ``--cli "ARGS"`` runs
-``kpr ARGS`` FAULT_REPEATS times per side, each in a fresh process and an
-empty working directory, alternating which side goes first; it writes each
-side's wall seconds and peak RSS, and whether both sides wrote the same
+``engine.run`` at each given N, in a fresh process per side and N, one
+pair of processes per seed that ``--seeds`` lists (the seeds only count
+the pairs).  ``--days STRATEGY:N:DAYS[:SEED]`` imports both checkouts'
+packages into this one process and steps ``engine.step_day`` for each,
+DAY_BLOCK days at a time, the side that goes first alternating from block
+to block: a per-day timing fine enough to separate moves smaller than the
+perfbench pairs' spread.  The seed is DAYS_SEED unless given; a greedy
+line whose DAYS is the run's tau at that seed steps the whole run.
+``--cli "ARGS"`` runs ``kpr ARGS`` in pairs the same way, each run in a
+fresh process and an empty working directory, alternating which side goes
+first; it writes each side's wall seconds and peak RSS with their
+quartiles, the pairs the change won, and whether both sides wrote the same
 bytes (sha256) to every output file.  ARGS may name an ``--out`` relative
 to the working directory, not an absolute one.
 
@@ -33,8 +35,7 @@ Usage, from the root of the changed checkout:
         --cli "worldlines --strategy gca --n 1600 --seed 1" --out BENCH_16.json
 
 Each call adds its sections to ``--out`` and keeps those already there.
-Every perfbench run lasts RUN_SECONDS, the benchmark's own run length, and
-the faults table takes FAULT_REPEATS processes per side and N.
+Every perfbench run lasts RUN_SECONDS, the benchmark's own run length.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ import numpy as np
 
 SIDES = ("parent", "change")
 RUN_SECONDS = 25.0
-FAULT_REPEATS = 3
 RUN_TIMEOUT_S = 400
 DAY_BLOCK = 20
 DAYS_SEED = 3
@@ -224,12 +224,12 @@ def bench_workload(checkouts: dict[str, Path], workload: str, seeds: list[int],
     return summarize(pairs, better), pairs
 
 
-def measure_faults(checkouts: dict[str, Path], sizes: list[int]) -> dict:
+def measure_faults(checkouts: dict[str, Path], sizes: list[int], pairs: int) -> dict:
     """Median minor faults per day and run seconds per side and N."""
     table: dict = {}
     for n in sizes:
         samples: dict[str, list[tuple[float, float]]] = {side: [] for side in SIDES}
-        for index in range(FAULT_REPEATS):
+        for index in range(pairs):
             for side in SIDES if index % 2 == 0 else SIDES[::-1]:
                 env = dict(os.environ, PYTHONPATH=str(checkouts[side] / "src"))
                 out = subprocess.run(
@@ -264,12 +264,13 @@ def output_digests(folder: Path) -> dict[str, str]:
     return digests
 
 
-def measure_cli(checkouts: dict[str, Path], args: list[str]) -> dict:
-    """Wall seconds and peak RSS of ``kpr ARGS`` per side, and whether
-    every run of both sides wrote the same files with the same bytes."""
+def measure_cli(checkouts: dict[str, Path], args: list[str], pairs: int) -> dict:
+    """Wall seconds and peak RSS of ``kpr ARGS`` per side, their quartiles
+    and the pairs the change won, and whether every run of both sides wrote
+    the same files with the same bytes."""
     samples: dict[str, list[tuple[float, float]]] = {side: [] for side in SIDES}
     digests = []
-    for index in range(FAULT_REPEATS):
+    for index in range(pairs):
         for side in SIDES if index % 2 == 0 else SIDES[::-1]:
             env = dict(os.environ, PYTHONPATH=str(checkouts[side] / "src"))
             with tempfile.TemporaryDirectory(prefix=f"bench-cli-{side}-") as folder:
@@ -281,15 +282,21 @@ def measure_cli(checkouts: dict[str, Path], args: list[str]) -> dict:
                 wall = time.perf_counter() - start
                 digests.append(output_digests(Path(folder)))
             samples[side].append((wall, int(out[-1]) / 1024))
-    line = {
+    line: dict = {
         side: {
             "wall_s": [round(w, 3) for w, _ in runs],
-            "median_wall_s": round(statistics.median(w for w, _ in runs), 3),
             "peak_rss_mb": [round(r, 1) for _, r in runs],
-            "median_peak_rss_mb": round(statistics.median(r for _, r in runs), 1),
         }
         for side, runs in samples.items()
     }
+    for metric in ("wall_s", "peak_rss_mb"):  # lower is better for both
+        parent, change = (line[side][metric] for side in SIDES)
+        won = sum(c < p for p, c in zip(parent, change))
+        line[metric] = {
+            "parent": quartiles(parent),
+            "change": quartiles(change),
+            "change_better_pairs": f"{won}/{pairs}",
+        }
     line["output_files"] = len(digests[0])
     line["outputs_equal"] = all(d == digests[0] for d in digests)
     return line
@@ -376,6 +383,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not (args.workloads or args.faults or args.days or args.cli):
         parser.error("nothing to measure: give --workloads, --faults, --days or --cli")
+    if args.cli and len(args.seeds) < 2:
+        parser.error("--cli needs two --seeds or more: its quartiles need two pairs")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -405,10 +414,10 @@ def main(argv: list[str] | None = None) -> int:
             "about": (
                 "minor page faults (ru_minflt) per simulated day of one "
                 "crowd-avoiding engine.run (seed 3, 1000 days) after a warm-up "
-                f"run at N = 1600, in a fresh process per side and N, {FAULT_REPEATS} "
+                f"run at N = 1600, in a fresh process per side and N, {len(args.seeds)} "
                 "processes per side, alternating which side goes first"
             ),
-            "by_n": measure_faults(checkouts, sizes),
+            "by_n": measure_faults(checkouts, sizes, len(args.seeds)),
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     if args.days:
@@ -432,13 +441,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.cli:
         section = report.setdefault("cli", {"lines": {}})
         section["about"] = (
-            f"kpr ARGS (the line's key) run {FAULT_REPEATS} times per side, each in a "
+            f"kpr ARGS (the line's key) run {len(args.seeds)} times per side, each in a "
             "fresh process and an empty working directory, alternating which side "
-            "goes first: wall seconds of the process, its peak RSS (ru_maxrss) in MB, "
-            "and whether every run of both sides wrote the same files with the same "
-            "sha256"
+            "goes first: wall seconds of the process and its peak RSS (ru_maxrss) in "
+            "MB, run by run, with their quartiles per side and the pairs the change "
+            "won, and whether every run of both sides wrote the same files with the "
+            "same sha256"
         )
-        line = measure_cli(checkouts, shlex.split(args.cli))
+        line = measure_cli(checkouts, shlex.split(args.cli), len(args.seeds))
         section["lines"][args.cli] = line
         print(f"cli {args.cli}: {line}", file=sys.stderr)
         args.out.write_text(json.dumps(report, indent=1) + "\n")

@@ -333,15 +333,13 @@ NOISE_ALLOWANCE = 1.0
 AMPLITUDE_SIGNIFICANCE = 5.0
 
 
-def detect_convergence(
-    f_series: np.ndarray, strategy: Strategy, n: int
-) -> tuple[int, float, bool]:
-    """Estimate the convergence day and saturation value of a utilization series.
+def detect_convergence(f_series: np.ndarray, n: int) -> tuple[int, float, bool]:
+    """Estimate the convergence day and saturation value of a random or
+    crowd-avoiding utilization series.
 
-    Greedy runs converge at the first day with f = 1 exactly.  For the other
-    strategies, f_s and the day-to-day spread sigma come from the trailing
-    tail window, and convergence means the initial transient has decayed:
-    day 1 starts at the uniform-choice baseline 1 - (1 - 1/n)^n, and the
+    f_s and the day-to-day spread sigma come from the trailing tail window,
+    and convergence means the initial transient has decayed: day 1 starts
+    at the uniform-choice baseline 1 - (1 - 1/n)^n, and the
     converged day is the first day whose STABILITY_DAYS-wide centered
     running mean lies within SETTLE_FRACTION of the day-1 amplitude
     |f_s - baseline| around f_s (plus a small allowance for the running
@@ -362,12 +360,6 @@ def detect_convergence(
     days = len(f_series)
     if days == 0:
         raise ValueError("empty utilization series")
-
-    if strategy is Strategy.GREEDY_CROWD_AVOIDING:
-        full = np.flatnonzero(f_series == 1.0)
-        if full.size:
-            return int(full[0]), 1.0, True
-        return days, float(f_series[-1]), False
 
     window_len = int(round(TAIL_WINDOW_FRACTION * days))
     if window_len < 2:
@@ -404,8 +396,9 @@ def run(config: SimulationConfig) -> RunResult:
     """Execute one full run, seeded from config.seed, and assemble its result.
 
     Greedy runs stop at the first fully utilized day (f can only grow, and a
-    day with everyone alone repeats forever); the other strategies always run
-    the full horizon, since their saturation statistics come from the tail.
+    day with everyone alone repeats forever), and that stop is their verdict;
+    the other strategies always run the full horizon, since
+    ``detect_convergence`` reads their saturation statistics from the tail.
     Only greedy runs keep each agent's final success rate, read from the
     live counts.  Each day's f goes into one growing float64 buffer, which
     the result's ``f_series`` views without a copy: 8 bytes a day, no float
@@ -432,14 +425,15 @@ def run(config: SimulationConfig) -> RunResult:
         f_values.append(step_day(state, config, rng))
 
     f_series = np.frombuffer(f_values)
-    tau, f_s, converged = detect_convergence(f_series, config.strategy, config.n)
-
     final_rates = None
     if greedy:
-        # a greedy run stops on day max(tau, 1), or on the day after it when
-        # that is its first full day, on which nobody loses
-        rate_day = max(tau, 1)
-        final_rates = success_percentages(state.losses, rate_day)
+        converged = f_values[-1] == 1.0
+        tau, f_s = len(f_values) - converged, f_values[-1]
+        # nobody loses on the full day the run stops on, so the counts at
+        # the stop are those of day tau
+        final_rates = success_percentages(state.losses, max(tau, 1))
+    else:
+        tau, f_s, converged = detect_convergence(f_series, config.n)
 
     return RunResult(
         config=config,

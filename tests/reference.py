@@ -7,6 +7,8 @@ oracle for the one-pass ``cli.fnum``.  ``reference_world_lines`` and
 ``reference_dispersion`` read the success percentages from a (days, n)
 matrix of service flags by cumulative sums, the oracle for ``stats``, which
 reads them from each day's losers (``losers_of`` turns flags into those).
+``reference_greedy_verdict`` scans a greedy f series for its first full
+day, the oracle for ``engine.run``, which judges a greedy run by its stop.
 """
 
 from __future__ import annotations
@@ -92,6 +94,16 @@ def reference_fnum(x: float) -> str:
             return text
         x = float(text)
     return text
+
+
+def reference_greedy_verdict(f_series: np.ndarray) -> tuple[int, float, bool]:
+    """(tau, f_s, converged) of a greedy run: converged on its first day with
+    f = 1 exactly, tau the days before it; else tau is the series' length and
+    f_s its last day."""
+    full = np.flatnonzero(np.asarray(f_series) == 1.0)
+    if full.size:
+        return int(full[0]), 1.0, True
+    return len(f_series), float(f_series[-1]), False
 
 
 def losers_of(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

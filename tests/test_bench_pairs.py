@@ -74,6 +74,11 @@ def test_seed_ranges(tmp_path, capsys):
                           "--out", str(tmp_path / "bench.json")])
     assert exit_info.value.code == 2
     assert "descending seed range '20-11'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:  # one pair has no quartiles
+        bench_pairs.main(["--parent", ".", "--change", ".", "--seeds", "5",
+                          "--cli", "run", "--out", str(tmp_path / "bench.json")])
+    assert exit_info.value.code == 2
+    assert "--cli needs two --seeds or more" in capsys.readouterr().err
     assert not (tmp_path / "bench.json").exists()
 
 
@@ -104,13 +109,16 @@ def test_cli_runs_a_command_per_side_and_compares_its_outputs(tmp_path):
     out = tmp_path / "bench.json"
     command = "run --strategy ca --n 20 --max-days 30 --seed 1 --out tiny"
     assert bench_pairs.main(["--parent", str(repo), "--change", str(repo),
-                             "--cli", command, "--out", str(out)]) == 0
+                             "--cli", command, "--seeds", "1-2", "--out", str(out)]) == 0
     line = json.loads(out.read_text())["cli"]["lines"][command]
     assert line["outputs_equal"]
     assert line["output_files"] == 2  # tiny/timeseries.csv, tiny/summary.txt
     for side in bench_pairs.SIDES:
-        assert len(line[side]["wall_s"]) == bench_pairs.FAULT_REPEATS
-        assert line[side]["median_wall_s"] > 0 and line[side]["median_peak_rss_mb"] > 0
+        assert len(line[side]["wall_s"]) == len(line[side]["peak_rss_mb"]) == 2
+    for metric in ("wall_s", "peak_rss_mb"):
+        assert line[metric]["change_better_pairs"][-2:] == "/2"
+        for side in bench_pairs.SIDES:
+            assert 0 < line[metric][side]["q1"] <= line[metric][side]["q3"]
 
 
 def test_output_digests_see_every_file_and_byte(tmp_path):

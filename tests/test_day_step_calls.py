@@ -1,12 +1,13 @@
 """The day step calls ndarray methods and ufuncs, not numpy's Python-level
 wrappers around them.
 
-The functions that run once per simulated day may not reference
-``np.flatnonzero``, ``np.nonzero``, ``np.cumsum``, ``np.argsort``,
-``np.diff`` or ``np.append``.  Each is a Python function that ends in an
-ndarray method or a concatenation, and at the small N of a sweep the
-wrapper costs more than the work.  ``x.nonzero()[0]``, ``a.cumsum()`` and
-``a.argsort(kind="stable")`` compute the same values.
+The functions that run once per simulated day, and ``run``, whose loop
+body does, may not reference ``np.flatnonzero``, ``np.nonzero``,
+``np.cumsum``, ``np.argsort``, ``np.diff`` or ``np.append``.  Each is a
+Python function that ends in an ndarray method or a concatenation, and at
+the small N of a sweep the wrapper costs more than the work.
+``x.nonzero()[0]``, ``a.cumsum()`` and ``a.argsort(kind="stable")``
+compute the same values.
 """
 
 import ast
@@ -18,7 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "kpr_lab"
 DAY_STEP = {
     "engine.py": ("sample_choices_vectorized", "uniforms_at", "_service_lottery",
                   "_stable_order", "_play_day", "_greedy_day", "_run_starts",
-                  "step_day"),
+                  "step_day", "run"),
 }
 WRAPPERS = frozenset({"flatnonzero", "nonzero", "cumsum", "argsort", "diff", "append"})
 
