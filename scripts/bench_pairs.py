@@ -1,27 +1,24 @@
 #!/usr/bin/env python3
 """Paired benchmark of two checkouts: the numbers behind a ``BENCH_*.json``.
 
-Runs ``perfbench/run.py`` in a parent checkout and in a changed one, pair
-by pair at fixed seeds, the side that goes first alternating from pair to
-pair, so that both halves of a pair see the same host speed.  For each
-workload it writes, per end-to-end metric and side, the quartiles over the
-pairs, how many pairs the change won, the failed operations, and whether
-the two sides wrote the same output digests at each seed.  ``--faults``
-instead measures minor page faults per simulated day of one crowd-avoiding
-``engine.run`` at each given N, in a fresh process per side and N, one
-pair of processes per seed that ``--seeds`` lists (the seeds only count
-the pairs).  ``--days STRATEGY:N:DAYS[:SEED]`` imports both checkouts'
-packages into this one process and steps ``engine.step_day`` for each,
-DAY_BLOCK days at a time, the side that goes first alternating from block
-to block: a per-day timing fine enough to separate moves smaller than the
-perfbench pairs' spread.  The seed is DAYS_SEED unless given; a greedy
-line whose DAYS is the run's tau at that seed steps the whole run.
-``--cli "ARGS"`` runs ``kpr ARGS`` in pairs the same way, each run in a
-fresh process and an empty working directory, alternating which side goes
-first; it writes each side's wall seconds and peak RSS with their
-quartiles, the pairs the change won, and whether both sides wrote the same
-bytes (sha256) to every output file.  ARGS may name an ``--out`` relative
-to the working directory, not an absolute one.
+Three modes run one fresh process per side and seed that ``--seeds``
+lists, pair by pair, the side that goes first alternating from pair to
+pair, so that both halves of a pair see the same host speed:
+``--workloads`` runs ``perfbench/run.py``; ``--faults`` measures minor page
+faults per simulated day of one crowd-avoiding ``engine.run`` at each given
+N; ``--cli "ARGS"`` runs ``kpr ARGS`` in an empty working directory (ARGS
+may name a relative ``--out``, not an absolute one).  All three write one
+summary per workload, N or command: per metric and side the quartiles over
+the pairs, how many pairs the change won and whether the gain rule holds,
+each side's failed runs and operations, whether the two sides' digests
+agree at each seed, and the runs themselves.  A run that exits non-zero or
+outlasts RUN_TIMEOUT_S is a failed run of its side, not the end of the call.
+``--days STRATEGY:N:DAYS[:SEED]`` imports both checkouts' packages into
+this one process and steps ``engine.step_day`` for each, DAY_BLOCK days at
+a time, the side that goes first alternating from block to block: a
+per-day timing fine enough to separate moves smaller than the perfbench
+pairs' spread.  The seed is DAYS_SEED unless given; a greedy line whose
+DAYS is the run's tau at that seed steps the whole run.
 
 Usage, from the root of the changed checkout:
 
@@ -67,9 +64,11 @@ STATE_ARRAYS = ("last_restaurant", "last_crowd", "was_served", "crowds", "losses
                 "unserved", "resident")
 
 # One crowd-avoiding run after a warm-up run at N = 1600 (as ca-large warms
-# up); prints minor faults per simulated day and the run's wall seconds.
+# up); prints minor faults per simulated day, the run's wall seconds and the
+# sha256 of its f series.
 FAULTS_SNIPPET = """
-import resource, sys, time
+import hashlib, resource, sys, time
+from array import array
 from kpr_lab import engine
 from kpr_lab.model import SimulationConfig, Strategy
 engine.run(SimulationConfig(n=1600, strategy=Strategy.CROWD_AVOIDING, seed=1))
@@ -79,7 +78,7 @@ start = time.perf_counter()
 result = engine.run(config)
 wall = time.perf_counter() - start
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-print(faults / result.days, wall)
+print(faults / result.days, wall, hashlib.sha256(array("d", result.f_series)).hexdigest())
 """
 
 # kpr's main on the arguments after argv[0]; prints the process's peak
@@ -131,31 +130,77 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
-def run_perfbench(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced perfbench run: its record and result lines.
+def run_side(checkout: Path, argv: list[str], cwd: Path) -> dict:
+    """Run ``python3 ARGV`` once in ``cwd``, with the checkout's ``src`` on
+    PYTHONPATH: its exit code, wall seconds and stdout lines.
 
-    A run that outlasts RUN_TIMEOUT_S is killed and kept as a failed run.
+    A run that exits non-zero or outlasts RUN_TIMEOUT_S is a failed run of
+    its side; it keeps the last lines of its stderr instead.
     """
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
     try:
-        proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-             "--seconds", str(RUN_SECONDS), "--trace", "0"],
-            cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
-        )
+        proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return {"returncode": None, "stderr": [f"timed out after {RUN_TIMEOUT_S} s"]}
-    entry: dict = {"returncode": proc.returncode}
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode == 0 and len(lines) >= 2:
-        record = json.loads(lines[-2])
-        # the per-operation lists are long; the quartiles summarize them
-        for key in ("op_wall_s", "scaled_wall_s", "agent_days", "setup_s"):
-            record.pop(key, None)
-        entry["record"] = record
-        entry["result"] = json.loads(lines[-1])
-    else:
-        entry["stderr"] = proc.stderr.strip().splitlines()[-5:]
-    return entry
+    if proc.returncode != 0:
+        return {"returncode": proc.returncode, "stderr": proc.stderr.strip().splitlines()[-5:]}
+    return {"returncode": 0, "wall_s": time.perf_counter() - start,
+            "stdout": proc.stdout.strip().splitlines()}
+
+
+def perfbench_side(checkout: Path, workload: str, seed: int) -> dict:
+    """One untraced perfbench run: its metrics, digests and operations from
+    the result line, and the rest of its record line."""
+    run = run_side(checkout, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                              "--seconds", str(RUN_SECONDS), "--trace", "0"], checkout)
+    if "stdout" not in run:
+        return run
+    record, result = map(json.loads, run["stdout"][-2:])
+    # the per-operation lists are long; the quartiles summarize them
+    for key in ("op_wall_s", "scaled_wall_s", "agent_days", "setup_s"):
+        record.pop(key, None)
+    return {"returncode": 0, "digests": record.pop("digests"), "record": record,
+            "failed": result["failed"], "attempted": result["attempted"],
+            "metrics": {name: metric["value"] for name, metric in result["metrics"].items()}}
+
+
+def cli_side(checkout: Path, args: list[str]) -> dict:
+    """``kpr ARGS`` in an empty working directory: the process's wall seconds
+    and peak RSS, and the sha256 of every file it wrote."""
+    with tempfile.TemporaryDirectory(prefix="bench-cli-") as folder:
+        run = run_side(checkout, ["-c", CLI_SNIPPET, *args], Path(folder))
+        if "stdout" not in run:
+            return run
+        return {"returncode": 0, "digests": output_digests(Path(folder)), "failed": 0,
+                "attempted": 1, "metrics": {"wall_s": run["wall_s"],
+                                            "peak_rss_mb": int(run["stdout"][-1]) / 1024}}
+
+
+def faults_side(checkout: Path, n: int) -> dict:
+    """FAULTS_SNIPPET at ``n``: minor faults per day, run seconds, and the
+    sha256 of the run's f series."""
+    run = run_side(checkout, ["-c", FAULTS_SNIPPET, str(n)], checkout)
+    if "stdout" not in run:
+        return run
+    faults, seconds, f_series = run["stdout"][-1].split()
+    return {"returncode": 0, "digests": {"f_series": f_series}, "failed": 0, "attempted": 1,
+            "metrics": {"faults_per_day": float(faults), "run_s": float(seconds)}}
+
+
+def run_pairs(seeds: list[int], measure) -> list[dict]:
+    """``measure(checkout side, seed)`` for both sides at each seed, the
+    side that goes first alternating from pair to pair."""
+    pairs = []
+    for index, seed in enumerate(seeds):
+        order = SIDES if index % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = measure(side, seed)
+            print(f"seed {seed} {side}: {pair[side].get('metrics', 'failed')}", file=sys.stderr)
+        pairs.append(pair)
+    return pairs
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
@@ -166,14 +211,14 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     nine tenths of all pairs run and to fail no more than the parent: no
     more failed runs and no larger share of failed operations.
     """
-    complete = [p for p in pairs if all("result" in p[side] for side in SIDES)]
+    complete = [p for p in pairs if all("metrics" in p[side] for side in SIDES)]
     summary: dict = {
         "seeds": [p["seed"] for p in pairs],
         "pairs": len(pairs),
         "complete_pairs": len(complete),
     }
     for side in SIDES:
-        results = [p[side]["result"] for p in pairs if "result" in p[side]]
+        results = [p[side] for p in pairs if "metrics" in p[side]]
         summary[f"{side}_failed_runs"] = len(pairs) - len(results)
         summary[f"{side}_failed_ops"] = sum(r["failed"] for r in results)
         summary[f"{side}_attempted_ops"] = sum(r["attempted"] for r in results)
@@ -184,16 +229,12 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         and failed["change"] * attempted["parent"] <= failed["parent"] * attempted["change"]
     )
     summary["digests_equal_per_seed"] = {
-        str(p["seed"]): p["parent"]["record"]["digests"] == p["change"]["record"]["digests"]
-        for p in complete
+        str(p["seed"]): p["parent"]["digests"] == p["change"]["digests"] for p in complete
     }
     if len(complete) < 2:  # no quartiles to compare
         return summary
     for metric, direction in better.items():
-        values = {
-            side: [p[side]["result"]["metrics"][metric]["value"] for p in complete]
-            for side in SIDES
-        }
+        values = {side: [p[side]["metrics"][metric] for p in complete] for side in SIDES}
         sign = 1 if direction == "higher" else -1
         won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         parent, change = quartiles(values["parent"]), quartiles(values["change"])
@@ -209,48 +250,6 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
-def bench_workload(checkouts: dict[str, Path], workload: str, seeds: list[int],
-                   better: dict[str, str]) -> tuple[dict, list[dict]]:
-    pairs = []
-    for index, seed in enumerate(seeds):
-        order = SIDES if index % 2 == 0 else SIDES[::-1]
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_perfbench(checkouts[side], workload, seed)
-            metrics = pair[side].get("result", {}).get("metrics", {})
-            wall = metrics.get("wall_s", {}).get("value")
-            print(f"{workload} seed {seed} {side}: wall_s {wall}", file=sys.stderr)
-        pairs.append(pair)
-    return summarize(pairs, better), pairs
-
-
-def measure_faults(checkouts: dict[str, Path], sizes: list[int], pairs: int) -> dict:
-    """Median minor faults per day and run seconds per side and N."""
-    table: dict = {}
-    for n in sizes:
-        samples: dict[str, list[tuple[float, float]]] = {side: [] for side in SIDES}
-        for index in range(pairs):
-            for side in SIDES if index % 2 == 0 else SIDES[::-1]:
-                env = dict(os.environ, PYTHONPATH=str(checkouts[side] / "src"))
-                out = subprocess.run(
-                    [sys.executable, "-c", FAULTS_SNIPPET, str(n)], env=env,
-                    capture_output=True, text=True, check=True, timeout=RUN_TIMEOUT_S,
-                ).stdout.split()
-                samples[side].append((float(out[0]), float(out[1])))
-        table[str(n)] = {
-            side: {
-                "faults_per_day": [round(f, 1) for f, _ in runs],
-                "median_faults_per_day": round(statistics.median(f for f, _ in runs), 1),
-                "run_s": [round(s, 3) for _, s in runs],
-            }
-            for side, runs in samples.items()
-        }
-        print(f"faults n={n}: " + ", ".join(
-            f"{side} {table[str(n)][side]['median_faults_per_day']}" for side in SIDES
-        ), file=sys.stderr)
-    return table
-
-
 def output_digests(folder: Path) -> dict[str, str]:
     """sha256 of every file under ``folder``, keyed by its relative path."""
     digests = {}
@@ -262,44 +261,6 @@ def output_digests(folder: Path) -> dict[str, str]:
                     sha.update(chunk)
             digests[str(path.relative_to(folder))] = sha.hexdigest()
     return digests
-
-
-def measure_cli(checkouts: dict[str, Path], args: list[str], pairs: int) -> dict:
-    """Wall seconds and peak RSS of ``kpr ARGS`` per side, their quartiles
-    and the pairs the change won, and whether every run of both sides wrote
-    the same files with the same bytes."""
-    samples: dict[str, list[tuple[float, float]]] = {side: [] for side in SIDES}
-    digests = []
-    for index in range(pairs):
-        for side in SIDES if index % 2 == 0 else SIDES[::-1]:
-            env = dict(os.environ, PYTHONPATH=str(checkouts[side] / "src"))
-            with tempfile.TemporaryDirectory(prefix=f"bench-cli-{side}-") as folder:
-                start = time.perf_counter()
-                out = subprocess.run(
-                    [sys.executable, "-c", CLI_SNIPPET, *args], cwd=folder, env=env,
-                    capture_output=True, text=True, check=True, timeout=RUN_TIMEOUT_S,
-                ).stdout.split()
-                wall = time.perf_counter() - start
-                digests.append(output_digests(Path(folder)))
-            samples[side].append((wall, int(out[-1]) / 1024))
-    line: dict = {
-        side: {
-            "wall_s": [round(w, 3) for w, _ in runs],
-            "peak_rss_mb": [round(r, 1) for _, r in runs],
-        }
-        for side, runs in samples.items()
-    }
-    for metric in ("wall_s", "peak_rss_mb"):  # lower is better for both
-        parent, change = (line[side][metric] for side in SIDES)
-        won = sum(c < p for p, c in zip(parent, change))
-        line[metric] = {
-            "parent": quartiles(parent),
-            "change": quartiles(change),
-            "change_better_pairs": f"{won}/{pairs}",
-        }
-    line["output_files"] = len(digests[0])
-    line["outputs_equal"] = all(d == digests[0] for d in digests)
-    return line
 
 
 def load_package(checkout: Path, name: str):
@@ -389,37 +350,43 @@ def main(argv: list[str] | None = None) -> int:
 
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report.setdefault("about", (
-        "perfbench result lines of a parent checkout and a changed one, run pair "
-        "by pair at the same seed, the side that goes first alternating; written "
-        "by scripts/bench_pairs.py"
+        "runs of a parent checkout and a changed one, pair by pair at the same "
+        "seed, the side that goes first alternating; written by "
+        "scripts/bench_pairs.py with the arguments under calls"
     ))
     report["host"] = (
         f"{os.cpu_count()} CPUs, {platform.machine()}, Python "
         f"{platform.python_version()}, numpy {version('numpy')}"
     )
-    report["command"] = (
-        f"python3 perfbench/run.py --workload W --seed S --seconds {RUN_SECONDS} --trace 0"
-    )
+    report.setdefault("calls", []).append(sys.argv[1:] if argv is None else argv)
     if args.workloads:
+        report["command"] = (
+            f"python3 perfbench/run.py --workload W --seed S --seconds {RUN_SECONDS} --trace 0"
+        )
         spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         for workload in args.workloads.split(","):
-            summary, pairs = bench_workload(checkouts, workload, args.seeds, better)
-            report.setdefault("summary", {})[workload] = summary
+            pairs = run_pairs(args.seeds, lambda side, seed: perfbench_side(
+                checkouts[side], workload, seed))
+            report.setdefault("summary", {})[workload] = summarize(pairs, better)
             report.setdefault("runs", {})[workload] = pairs
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     if args.faults:
-        sizes = [int(n) for n in args.faults.split(",")]
         report["faults"] = {
             "about": (
-                "minor page faults (ru_minflt) per simulated day of one "
-                "crowd-avoiding engine.run (seed 3, 1000 days) after a warm-up "
-                f"run at N = 1600, in a fresh process per side and N, {len(args.seeds)} "
-                "processes per side, alternating which side goes first"
+                "minor page faults (ru_minflt) per simulated day and run seconds of one "
+                "crowd-avoiding engine.run (seed 3, 1000 days) after a warm-up run at "
+                f"N = 1600, in a fresh process per side and N, {len(args.seeds)} pairs of "
+                "processes, alternating which side goes first; summarized per N as the "
+                "perfbench workloads are, the digest being the sha256 of the f series"
             ),
-            "by_n": measure_faults(checkouts, sizes, len(args.seeds)),
+            "by_n": {},
         }
-        args.out.write_text(json.dumps(report, indent=1) + "\n")
+        for n in map(int, args.faults.split(",")):
+            pairs = run_pairs(args.seeds, lambda side, seed: faults_side(checkouts[side], n))
+            summary = summarize(pairs, {"faults_per_day": "lower", "run_s": "lower"})
+            report["faults"]["by_n"][str(n)] = dict(summary, runs=pairs)
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
     if args.days:
         packages = {side: load_package(checkouts[side], f"kpr_{side}") for side in SIDES}
         section = report.setdefault("days", {"lines": {}})
@@ -443,14 +410,20 @@ def main(argv: list[str] | None = None) -> int:
         section["about"] = (
             f"kpr ARGS (the line's key) run {len(args.seeds)} times per side, each in a "
             "fresh process and an empty working directory, alternating which side "
-            "goes first: wall seconds of the process and its peak RSS (ru_maxrss) in "
-            "MB, run by run, with their quartiles per side and the pairs the change "
-            "won, and whether every run of both sides wrote the same files with the "
-            "same sha256"
+            "goes first; summarized as the perfbench workloads are, with wall seconds "
+            "of the process and its peak RSS (ru_maxrss) in MB as the metrics and the "
+            "sha256 of every file it wrote as the digests; outputs_equal says whether "
+            "every completed run of both sides wrote the same files with the same bytes"
         )
-        line = measure_cli(checkouts, shlex.split(args.cli), len(args.seeds))
-        section["lines"][args.cli] = line
-        print(f"cli {args.cli}: {line}", file=sys.stderr)
+        pairs = run_pairs(args.seeds, lambda side, seed: cli_side(
+            checkouts[side], shlex.split(args.cli)))
+        digests = [p[side]["digests"] for p in pairs for side in SIDES if "digests" in p[side]]
+        section["lines"][args.cli] = dict(
+            summarize(pairs, {"wall_s": "lower", "peak_rss_mb": "lower"}),
+            output_files=len(digests[0]) if digests else 0,
+            outputs_equal=bool(digests) and all(d == digests[0] for d in digests),
+            runs=pairs,
+        )
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -1,6 +1,6 @@
-"""scripts/bench_pairs.py: a side that crashes counts in the pair summary,
-the day timing steps both checkouts to the same final state, and the
-command timing compares both sides' output bytes."""
+"""scripts/bench_pairs.py: a side that crashes or fails counts in the pair
+summary, the day timing steps both checkouts to the same final state, and
+the command timing compares both sides' output bytes."""
 
 import importlib.util
 import json
@@ -18,11 +18,8 @@ BETTER = {"wall_s": "lower"}
 
 
 def finished(wall: float, failed: int = 0) -> dict:
-    return {
-        "returncode": 0,
-        "record": {"digests": {"out.csv": "d"}},
-        "result": {"failed": failed, "attempted": 10, "metrics": {"wall_s": {"value": wall}}},
-    }
+    return {"returncode": 0, "digests": {"out.csv": "d"}, "failed": failed, "attempted": 10,
+            "metrics": {"wall_s": wall}}
 
 
 def pairs_with(change_sides: list[dict]) -> list[dict]:
@@ -60,8 +57,8 @@ def test_a_timed_out_run_is_a_failed_run(monkeypatch):
         raise bench_pairs.subprocess.TimeoutExpired(cmd, kwargs["timeout"])
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", hang)
-    timed_out = bench_pairs.run_perfbench(Path("."), "gca-run", 11)
-    assert "result" not in timed_out
+    timed_out = bench_pairs.perfbench_side(Path("."), "gca-run", 11)
+    assert "metrics" not in timed_out
     summary = bench_pairs.summarize(pairs_with([finished(1.0)] * 9 + [timed_out]), BETTER)
     assert summary["change_failed_runs"] == 1
     assert not summary["wall_s"]["gain_rule_met"]
@@ -110,15 +107,49 @@ def test_cli_runs_a_command_per_side_and_compares_its_outputs(tmp_path):
     command = "run --strategy ca --n 20 --max-days 30 --seed 1 --out tiny"
     assert bench_pairs.main(["--parent", str(repo), "--change", str(repo),
                              "--cli", command, "--seeds", "1-2", "--out", str(out)]) == 0
-    line = json.loads(out.read_text())["cli"]["lines"][command]
+    report = json.loads(out.read_text())
+    line = report["cli"]["lines"][command]
     assert line["outputs_equal"]
     assert line["output_files"] == 2  # tiny/timeseries.csv, tiny/summary.txt
-    for side in bench_pairs.SIDES:
-        assert len(line[side]["wall_s"]) == len(line[side]["peak_rss_mb"]) == 2
+    assert line["digests_equal_per_seed"] == {"1": True, "2": True}
+    for pair in line["runs"]:
+        for side in bench_pairs.SIDES:
+            assert pair[side]["metrics"]["wall_s"] > 0 and pair[side]["metrics"]["peak_rss_mb"] > 0
     for metric in ("wall_s", "peak_rss_mb"):
         assert line[metric]["change_better_pairs"][-2:] == "/2"
         for side in bench_pairs.SIDES:
             assert 0 < line[metric][side]["q1"] <= line[metric][side]["q3"]
+    # only a perfbench section names the perfbench command
+    assert "command" not in report
+    assert report["calls"] == [["--parent", str(repo), "--change", str(repo), "--cli", command,
+                                "--seeds", "1-2", "--out", str(out)]]
+
+
+def test_a_failing_command_is_a_failed_run(tmp_path):
+    repo = SCRIPT.parent.parent
+    out = tmp_path / "bench.json"
+    # a greedy run capped at 5 days is censored, and --strict exits 3 on it
+    command = "run --strategy gca --n 30 --seed 3 --max-days 5 --strict --out x"
+    assert bench_pairs.main(["--parent", str(repo), "--change", str(repo),
+                             "--cli", command, "--seeds", "1-2", "--out", str(out)]) == 0
+    line = json.loads(out.read_text())["cli"]["lines"][command]
+    assert line["parent_failed_runs"] == line["change_failed_runs"] == 2
+    assert line["complete_pairs"] == 0
+    assert not line["outputs_equal"]
+    assert [pair["parent"]["returncode"] for pair in line["runs"]] == [3, 3]
+
+
+def test_faults_are_summarized_per_n(tmp_path):
+    repo = SCRIPT.parent.parent
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(repo), "--change", str(repo),
+                             "--faults", "40", "--seeds", "1-2", "--out", str(out)]) == 0
+    line = json.loads(out.read_text())["faults"]["by_n"]["40"]
+    assert line["complete_pairs"] == 2
+    assert line["digests_equal_per_seed"] == {"1": True, "2": True}
+    assert line["faults_per_day"]["change_better_pairs"][-2:] == "/2"
+    for side in bench_pairs.SIDES:
+        assert 0 <= line["faults_per_day"][side]["q1"] <= line["faults_per_day"][side]["q3"]
 
 
 def test_output_digests_see_every_file_and_byte(tmp_path):

@@ -1,9 +1,9 @@
-"""Dead-definition gate over the package.
+"""Dead-definition gate over the package and the scripts.
 
 Every top-level function, class and module constant of ``src/kpr_lab`` must
-be read somewhere in the package, the scripts or the benchmark harness.  A
-name that only tests read is library code for tests: it belongs in
-``tests/`` or nowhere.  A read is a name loaded, an attribute, an imported
+be read somewhere in the package, the scripts or the benchmark harness, and
+every one of ``scripts/`` somewhere in the scripts.  A name that only tests
+read is library code for tests: it belongs in ``tests/`` or nowhere.  A read is a name loaded, an attribute, an imported
 name, or a string naming it (the benchmark patches functions by name).
 Names are matched without their module, and dunder names are skipped.
 """
@@ -15,11 +15,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src/kpr_lab").glob("*.py"))
-READERS = PACKAGE + sorted(
-    path
-    for folder in ("scripts", "perfbench")
-    for path in (ROOT / folder).rglob("*.py")
-    if not path.name.startswith("test_")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+READERS = PACKAGE + SCRIPTS + sorted(
+    path for path in (ROOT / "perfbench").rglob("*.py") if not path.name.startswith("test_")
 )
 
 
@@ -53,10 +51,13 @@ def unread_definitions(source: str, readers: list[str]) -> list[str]:
     return [name for name in definitions(source) if name not in read]
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
-def test_every_definition_is_read(path):
-    readers = [reader.read_text() for reader in READERS]
-    assert unread_definitions(path.read_text(), readers) == []
+@pytest.mark.parametrize(
+    "path, readers",
+    [pytest.param(path, readers, id=path.relative_to(ROOT).as_posix())
+     for files, readers in ((PACKAGE, READERS), (SCRIPTS, SCRIPTS)) for path in files],
+)
+def test_every_definition_is_read(path, readers):
+    assert unread_definitions(path.read_text(), [r.read_text() for r in readers]) == []
 
 
 def test_gate_sees_an_unread_definition():
