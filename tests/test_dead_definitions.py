@@ -1,11 +1,13 @@
-"""Dead-definition gate over the package and the scripts.
+"""Dead-definition gate over the package, the scripts and the test oracles.
 
 Every top-level function, class and module constant of ``src/kpr_lab`` must
-be read somewhere in the package, the scripts or the benchmark harness, and
-every one of ``scripts/`` somewhere in the scripts.  A name that only tests
-read is library code for tests: it belongs in ``tests/`` or nowhere.  A read is a name loaded, an attribute, an imported
-name, or a string naming it (the benchmark patches functions by name).
-Names are matched without their module, and dunder names are skipped.
+be read somewhere in the package, the scripts or the benchmark harness,
+every one of ``scripts/`` somewhere in the scripts, and every one of
+``tests/reference.py`` somewhere in the tests.  A package name that only
+tests read is library code for tests: it belongs in ``tests/`` or nowhere.
+A read is a name loaded, an attribute, an imported name, or a string naming
+it (the benchmark patches functions by name).  Names are matched without
+their module, and dunder names are skipped.
 """
 
 import ast
@@ -19,6 +21,8 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 READERS = PACKAGE + SCRIPTS + sorted(
     path for path in (ROOT / "perfbench").rglob("*.py") if not path.name.startswith("test_")
 )
+REFERENCE = [ROOT / "tests/reference.py"]
+TESTS = sorted((ROOT / "tests").glob("test_*.py"))
 
 
 def definitions(source: str) -> list[str]:
@@ -54,7 +58,8 @@ def unread_definitions(source: str, readers: list[str]) -> list[str]:
 @pytest.mark.parametrize(
     "path, readers",
     [pytest.param(path, readers, id=path.relative_to(ROOT).as_posix())
-     for files, readers in ((PACKAGE, READERS), (SCRIPTS, SCRIPTS)) for path in files],
+     for files, readers in ((PACKAGE, READERS), (SCRIPTS, SCRIPTS), (REFERENCE, TESTS))
+     for path in files],
 )
 def test_every_definition_is_read(path, readers):
     assert unread_definitions(path.read_text(), [r.read_text() for r in readers]) == []

@@ -1,13 +1,12 @@
 import copy
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from reference import reference_greedy_verdict
+from reference import reference_day, reference_greedy_verdict, traced_peak
 
 from kpr_lab.engine import (
     WorldState,
@@ -46,17 +45,6 @@ class TestDayOne:
         assert list(state.crowds) == [1]
         assert list(state.was_served) == [True]
         assert f == 1.0
-
-    def test_two_agent_expectation(self):
-        # 4 equally likely joint choices: two collisions (f=1/2), two splits (f=1)
-        cfg = SimulationConfig(n=2, strategy=RANDOM)
-        rng = np.random.default_rng(42)
-        draws = 20_000
-        vals = np.empty(draws)
-        for i in range(draws):
-            _, vals[i] = init_day_one(cfg, rng)
-        se = vals.std(ddof=1) / np.sqrt(draws)
-        assert abs(vals.mean() - 0.75) <= 3 * se
 
     def test_agents_see_their_own_crowd(self):
         cfg = SimulationConfig(n=30, strategy=GCA, seed=3)
@@ -135,12 +123,7 @@ def test_dense_day_writes_into_the_runs_buffers(strategy):
     state, _ = init_day_one(cfg, rng)
     for _ in range(4):
         step_day(state, cfg, rng)
-    tracemalloc.start()
-    try:
-        step_day(state, cfg, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: step_day(state, cfg, rng))
     assert peak / (8 * n) < DENSE_DAY_PEAK[strategy]
 
 
@@ -158,12 +141,7 @@ def test_greedy_endgame_day_allocates_no_n_sized_array():
     state, _ = init_day_one(cfg, rng)
     while len(state.unserved) > 20:
         step_day(state, cfg, rng)
-    tracemalloc.start()
-    try:
-        step_day(state, cfg, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: step_day(state, cfg, rng))
     assert peak / (8 * n) < GREEDY_ENDGAME_DAY_PEAK
 
 
@@ -189,36 +167,6 @@ def test_interleaved_runs_match_their_solo_runs():
         assert np.array_equal(np.flatnonzero(~state.was_served), last_day)
 
 
-def dense_greedy_day(state: WorldState, n: int, rng: np.random.Generator) -> float:
-    """Reference greedy day over all n agents: every agent's stay/leave
-    uniform is drawn and every restaurant is tallied, as the engine once did.
-    Moves the state's day, choices, crowds, served flags and losses to today
-    (fresh arrays each) and returns today's utilization."""
-    p_stay = 1.0 / state.last_crowd
-    p_stay[state.was_served] = 1.0
-    stay = rng.random(n) < p_stay
-    choices = state.last_restaurant.copy()
-    movers = np.flatnonzero(~stay)
-    if movers.size:
-        other = rng.integers(0, n - 1, size=movers.size)
-        other += other >= state.last_restaurant[movers]
-        choices[movers] = other
-    crowds = np.bincount(choices, minlength=n)
-    served = crowds[choices] == 1
-    contested = np.flatnonzero(crowds >= 2)
-    if contested.size:
-        sizes = crowds[contested]
-        u = rng.random(contested.size)
-        offsets = np.minimum((u * sizes).astype(np.int64), sizes - 1)
-        members = np.flatnonzero(~served)
-        grouped = members[np.argsort(choices[members], kind="stable")]
-        served[grouped[np.cumsum(sizes) - sizes + offsets]] = True
-    state.day += 1
-    state.last_restaurant, state.last_crowd, state.was_served = choices, crowds[choices], served
-    state.losses, state.crowds = state.losses + ~served, crowds
-    return np.count_nonzero(crowds) / n
-
-
 def next_draws(rng: np.random.Generator) -> list:
     """The next 32-bit, 64-bit and uniform draws of a copy of rng."""
     ahead = copy.deepcopy(rng)
@@ -229,29 +177,33 @@ def next_draws(rng: np.random.Generator) -> list:
     )
 
 
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=60),
+    alpha=st.sampled_from([0.3, 0.5, 1.0, 2.7]),
     seed=st.integers(min_value=0, max_value=2**32),
     days=st.integers(min_value=1, max_value=80),
 )
-@example(n=1, seed=0, days=5)
-@example(n=2, seed=0, days=20)
-@example(n=65537, seed=3, days=3)
-@example(n=200_000, seed=1, days=1)  # 81 855 restaurants touched: two sorting passes
-@example(n=3000, seed=1, days=900)  # jumps over served agents' uniforms from day 589
-@example(n=2000, seed=1, days=2800)  # to full utilization and past it
-def test_greedy_day_matches_the_dense_reference(n, seed, days):
-    cfg = SimulationConfig(n=n, strategy=GCA, seed=seed)
+@example(n=1, alpha=1.0, seed=0, days=5)
+@example(n=2, alpha=0.3, seed=0, days=20)
+@example(n=65537, alpha=2.7, seed=3, days=3)
+@example(n=200_000, alpha=0.5, seed=1, days=1)  # gca: 81 855 restaurants, two sorting passes
+@example(n=3000, alpha=2.7, seed=1, days=900)  # gca jumps served agents' uniforms from day 589
+@example(n=2000, alpha=0.3, seed=1, days=2800)  # gca to full utilization and past it
+def test_day_matches_the_reference(strategy, n, alpha, seed, days):
+    cfg = SimulationConfig(n=n, strategy=strategy, alpha=alpha, seed=seed)
     rng = np.random.default_rng(seed)
     state, _ = init_day_one(cfg, rng)
     reference, reference_rng = copy.deepcopy((state, rng))
+    names = ["last_restaurant", "last_crowd", "was_served", "crowds"]
+    if strategy is GCA:
+        names.append("losses")
     for _ in range(days):
         f = step_day(state, cfg, rng)
-        reference_f = dense_greedy_day(reference, n, reference_rng)
-        assert f == reference_f
+        assert f == reference_day(reference, strategy, alpha, n, reference_rng)
         assert state.day == reference.day
-        for name in ("last_restaurant", "last_crowd", "was_served", "losses", "crowds"):
+        for name in names:
             assert np.array_equal(getattr(state, name), getattr(reference, name)), name
         assert next_draws(rng) == next_draws(reference_rng)
 
@@ -326,16 +278,6 @@ def test_largest_uniform_times_a_size_rounds_below_the_size():
     assert ((largest * sizes).astype(np.int64) < sizes).all()
 
 
-def test_replaying_a_seed_is_bit_identical():
-    for strategy in (RANDOM, CA, GCA):
-        cfg = SimulationConfig(n=37, strategy=strategy, seed=99, max_days=60)
-        a = run(cfg)
-        b = run(cfg)
-        assert np.array_equal(a.f_series, b.f_series)
-        assert np.array_equal(a.final_rates, b.final_rates)
-        assert (a.tau, a.f_s, a.converged) == (b.tau, b.f_s, b.converged)
-
-
 def test_alpha_does_not_affect_random_strategy():
     runs = [
         run(SimulationConfig(n=23, strategy=RANDOM, alpha=alpha, seed=17, max_days=50))
@@ -394,12 +336,7 @@ class TestRun:
         days = 20_000
         cfg = SimulationConfig(n=20, strategy=RANDOM, seed=1, max_days=days)
         run(cfg)
-        tracemalloc.start()
-        try:
-            result = run(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(lambda: run(cfg))
         assert result.days == days
         print(f"random run peak: {peak / days:.1f} bytes a day")
         assert peak < 16 * days
@@ -454,12 +391,7 @@ class TestRun:
         cfg = SimulationConfig(n=n, strategy=strategy, seed=1, max_days=days,
                                record_history=True)
         run(cfg)
-        tracemalloc.start()
-        try:
-            result = run(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(lambda: run(cfg))
         assert result.days == days
         print(f"{strategy.value} history run peak: {peak / (n * days):.2f} of n * days bytes")
         assert peak < gate * n * days

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,12 @@ from kpr_lab.stats import (
     exact_random_utilization,
     world_lines,
 )
-from reference import losers_of, reference_dispersion, reference_world_lines
+from reference import (
+    losers_of,
+    reference_dispersion,
+    reference_world_lines,
+    traced_peak,
+)
 
 
 def enumerate_day_one_utilization(n: int) -> float:
@@ -143,12 +147,7 @@ class TestWorldLines:
         flags = np.random.default_rng(3).random((2000, 200)) < 0.7
         result = make_result_with_history(flags, tau=2000)
         line_bytes = 2000 * np.dtype(np.float64).itemsize
-        tracemalloc.start()
-        try:
-            count = sum(1 for _ in world_lines(result))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        count, peak = traced_peak(lambda: sum(1 for _ in world_lines(result)))
         print(f"world lines peak: {peak / line_bytes:.2f} lines")
         assert count == 200
         assert peak < 8 * line_bytes
