@@ -5,7 +5,8 @@ Subcommands::
     kpr run        single simulation -> timeseries.csv + summary.txt
     kpr sweep      ensembles over n or alpha -> sweep.csv + summary.txt
     kpr worldlines per-agent cumulative success trajectories
-    kpr figures    canonical experiment presets (fig1..fig6 directories)
+    kpr figures    fig1..fig5 as run, sweep and worldlines calls
+                   (FIGURE_COMMANDS); fig6 final-rate dispersion against n
 
 All numeric output uses decimal notation with six significant digits, files
 end lines with LF, and a fixed (flags, seed) pair reproduces every output
@@ -16,8 +17,9 @@ A config file (--config) holds flat ``key=value`` lines mirroring the long
 flag names, with ``-`` or ``_`` (e.g. ``strategy=ca``, ``max-days=2000``,
 ``strict=true``).  Each line becomes a flag token placed before the flags
 typed on the command line, so argparse checks its value and explicit flags
-win; the file may hold required flags too.  Every usage error, a malformed flag as much as an invalid value or a
-config key, exits 2 with one ``kpr: ...`` line on stderr.
+win; the file may hold required flags too.  Every usage error, a malformed
+flag as much as an invalid value or a config key, exits 2 with one
+``kpr: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -38,7 +40,15 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_STRICT_UNCONVERGED = 3
 
-# documented default seeds for the `figures` presets
+# the command each of fig1 to fig5 reproduces; `figures` adds --seed, --out
+# and --strict, and to a sweep --values, --runs and --threads
+FIGURE_COMMANDS = {
+    "fig1": "run --strategy ca --n 1600",
+    "fig2": "sweep --strategy ca --variable n",
+    "fig3": "run --strategy gca --n 1600",
+    "fig4": "sweep --strategy gca --variable n",
+    "fig5": "worldlines --strategy gca --n 50",
+}
 FIGURE_SEEDS = {"fig1": 1, "fig2": 2, "fig3": 3, "fig4": 4, "fig5": 5, "fig6": 6}
 FIGURE_SWEEP_NS = (100, 200, 400, 800, 1600, 3200, 6400)
 FIGURE_FULL_SWEEP_NS = FIGURE_SWEEP_NS + (12800, 25600, 51200)
@@ -243,66 +253,19 @@ def cmd_worldlines(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    """fig1 to fig5 run FIGURE_COMMANDS through the parser and each command's
+    own function; fig6, which no command writes, is its own loop."""
     out = Path(args.out)
-    workers = args.threads
     sweep_ns = FIGURE_FULL_SWEEP_NS if args.full else FIGURE_SWEEP_NS
-    converged = True  # every run made here, for --strict
-
-    # fig1/fig2 (crowd-avoiding) and fig3/fig4 (greedy): a typical run at
-    # n = 1600 and the n-sweep behind the saturation-value, convergence-time
-    # and linear tau(N) plots
-    for strategy, run_fig, sweep_fig in (
-        (Strategy.CROWD_AVOIDING, "fig1", "fig2"),
-        (Strategy.GREEDY_CROWD_AVOIDING, "fig3", "fig4"),
-    ):
-        config = SimulationConfig(n=1600, strategy=strategy, seed=FIGURE_SEEDS[run_fig])
-        typical = engine.run(config)
-        write_timeseries(out / run_fig / "timeseries.csv", typical)
-        rows = run_sweep(
-            [SimulationConfig(n=n, strategy=strategy) for n in sweep_ns],
-            args.runs,
-            FIGURE_SEEDS[sweep_fig],
-            max_workers=workers,
-        )
-        write_sweep(out / sweep_fig / "sweep.csv", "n", rows)
-        converged &= typical.converged and all(r.converged_fraction == 1.0 for r in rows)
-        if strategy is Strategy.CROWD_AVOIDING:
-            intercept, slope = stats.estimate_fs_extrapolation(rows)
-            write_sweep(out / run_fig / "sweep.csv", "n", rows)
-            write_summary(
-                out / run_fig / "summary.txt",
-                [
-                    ("command", "figures"),
-                    ("figure", run_fig),
-                    ("run_seed", FIGURE_SEEDS[run_fig]),
-                    ("sweep_seed", FIGURE_SEEDS[sweep_fig]),
-                    ("fs_extrapolated_intercept", intercept),
-                    ("fs_vs_inverse_n_slope", slope),
-                ],
-            )
-
-    # fig5: world lines of one greedy run at n=50
-    wl_config = SimulationConfig(
-        n=50,
-        strategy=Strategy.GREEDY_CROWD_AVOIDING,
-        seed=FIGURE_SEEDS["fig5"],
-        record_history=True,
-    )
-    result = engine.run(wl_config)
-    converged &= result.converged
-    lo, hi, spread = stats.dispersion_summary(result)
-    write_worldlines(out / "fig5" / "worldlines.csv", stats.world_lines(result))
-    write_summary(
-        out / "fig5" / "summary.txt",
-        [
-            ("command", "figures"),
-            ("figure", "fig5"),
-            ("seed", FIGURE_SEEDS["fig5"]),
-            ("tau", result.tau),
-            ("min_final", lo),
-            ("max_final", hi),
-        ],
-    )
+    status = EXIT_OK
+    for fig, command in FIGURE_COMMANDS.items():
+        argv = command.split() + ["--seed", str(FIGURE_SEEDS[fig]), "--out", str(out / fig)]
+        argv += ["--strict"] * args.strict
+        if argv[0] == "sweep":
+            argv += ["--values", ",".join(map(str, sweep_ns)),
+                     "--runs", str(args.runs), "--threads", str(args.threads)]
+        sub = build_parser().parse_args(argv)
+        status = max(status, sub.func(sub))
 
     # fig6: dispersion of final success rates versus system size
     lines = ["n,dispersion_min_rate_mean,runs"]
@@ -311,12 +274,12 @@ def cmd_figures(args) -> int:
             SimulationConfig(n=n, strategy=Strategy.GREEDY_CROWD_AVOIDING),
             runs=args.runs,
             base_seed=FIGURE_SEEDS["fig6"],
-            max_workers=workers,
+            max_workers=args.threads,
         )
-        converged &= summary.converged_fraction == 1.0
+        status = max(status, _status(args, summary.converged_fraction == 1.0))
         lines.append(f"{n},{fnum(summary.dispersion_min_rate_mean)},{summary.runs}")
     _write_blocks(out / "fig6" / "dispersion.csv", [lines])
-    return _status(args, converged)
+    return status
 
 
 class _Parser(argparse.ArgumentParser):

@@ -532,20 +532,51 @@ def test_default_threads_are_the_cpus_this_process_may_use(command, monkeypatch)
     assert cli.build_parser().parse_args(command).threads == 7
 
 
-def test_figures_smoke(tmp_path, monkeypatch):
+SMOKE_SWEEP = ["--values", "20,40,60", "--runs", "2", "--threads", "1"]
+
+# fig1 to fig5 at the smoke sizes, written out as the commands they stand for
+FIGURE_CALLS = {
+    "fig1": ["run", "--strategy", "ca", "--n", "1600", "--seed", "1"],
+    "fig2": ["sweep", "--strategy", "ca", "--variable", "n", "--seed", "2", *SMOKE_SWEEP],
+    "fig3": ["run", "--strategy", "gca", "--n", "1600", "--seed", "3"],
+    "fig4": ["sweep", "--strategy", "gca", "--variable", "n", "--seed", "4", *SMOKE_SWEEP],
+    "fig5": ["worldlines", "--strategy", "gca", "--n", "50", "--seed", "5"],
+}
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_each_figure_is_the_output_of_its_command(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "FIGURE_SWEEP_NS", (20, 40, 60))
     monkeypatch.setattr(cli, "FIGURE_WORLDLINE_NS", (20, 30))
     out = tmp_path / "figs"
-    rc = main(["figures", "--runs", "2", "--threads", "1", "--out", str(out)])
-    assert rc == 0
-    assert (out / "fig1" / "timeseries.csv").exists()
-    assert (out / "fig1" / "sweep.csv").exists()
-    assert (out / "fig2" / "sweep.csv").exists()
-    assert (out / "fig3" / "timeseries.csv").exists()
-    assert (out / "fig4" / "sweep.csv").exists()
-    assert (out / "fig5" / "worldlines.csv").exists()
+    assert main(["figures", "--runs", "2", "--threads", "1", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [*FIGURE_CALLS, "fig6"]
+    for fig, call in FIGURE_CALLS.items():
+        alone = tmp_path / "alone" / fig
+        assert main(call + ["--out", str(alone)]) == 0
+        assert tree(out / fig) == tree(alone), fig
+    # the default fig3 run is censored, and its summary says so
+    assert {"tau=16000", "converged=false"} <= set(
+        (out / "fig3" / "summary.txt").read_text().splitlines())
     header = (out / "fig6" / "dispersion.csv").read_text().splitlines()[0]
     assert header == "n,dispersion_min_rate_mean,runs"
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_full_switches_the_sweep_ns(full, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "FIGURE_SWEEP_NS", (20, 40, 60))
+    monkeypatch.setattr(cli, "FIGURE_FULL_SWEEP_NS", (20, 40, 60, 80))
+    monkeypatch.setattr(cli, "FIGURE_WORLDLINE_NS", (20,))
+    out = tmp_path / "figs"
+    args = ["figures", "--runs", "2", "--threads", "1", "--out", str(out)]
+    assert main(args + ["--full"] * full) == 0
+    values = "20,40,60,80" if full else "20,40,60"
+    for fig in ("fig2", "fig4"):
+        assert f"values={values}" in (out / fig / "summary.txt").read_text().splitlines()
 
 
 @pytest.mark.parametrize("fig3_seed,censored,strict,expected", [
@@ -597,3 +628,12 @@ def test_readme_synopsis_matches_the_parsers():
         assert documented[command] == flags - {"--help"}, command
         keys = parser.get_default("flag_keys")
         assert {"--" + key.replace("_", "-") for key in keys} <= flags, command
+
+
+def test_readme_figure_table_matches_the_figure_commands():
+    rows = re.findall(r"^  \| (fig\d) \| [^|]+ \| (.+?) \| (\d+) \|$",
+                      README.read_text(), re.MULTILINE)
+    commands = {fig: cmd.strip("`").removeprefix("kpr ")
+                for fig, cmd, _ in rows if cmd != "none"}
+    assert commands == cli.FIGURE_COMMANDS
+    assert {fig: int(seed) for fig, _, seed in rows} == cli.FIGURE_SEEDS

@@ -44,7 +44,7 @@ CLI_DIGESTS = {
     "worldlines-ca": "41bf91f02e79aeae8809b1f47c4b4861b1647d08afd53566adb8025cf329f163",
 }
 
-FIGURES_DIGEST = "5a13caa843045988d32b53729fef5c852c8df304640affb13030e879ba710e5e"
+FIGURES_DIGEST = "cef7ffb2be3a3cda3cfed4bda9b84277ef7efcb7400d0bc4911b60e317ee64dc"
 
 # (strategy, n, seed, max_days): random and crowd-avoiding runs converged
 # from day 1, at day 6, at day 3 of 4 and not at all; greedy runs whose
@@ -104,7 +104,8 @@ def test_cli_output_is_pinned(case, tmp_path):
 
 
 def test_figures_output_is_pinned(tmp_path, monkeypatch):
-    # the smoke-test sizes of tests/test_cli.py::test_figures_smoke
+    # the smoke-test sizes of
+    # tests/test_cli.py::test_each_figure_is_the_output_of_its_command
     monkeypatch.setattr(cli, "FIGURE_SWEEP_NS", (20, 40, 60))
     monkeypatch.setattr(cli, "FIGURE_WORLDLINE_NS", (20, 30))
     args = ["figures", "--runs", "2", "--threads", "1"]
